@@ -19,7 +19,9 @@ debranges  complex plane, structure E  see :class:`DeBrangesSpace`
 Derivations along chart paths are written L_X (left slot) and R_X (right
 slot).  The finite-difference versions are the ground truth the closed
 forms are validated against: central differences with one Richardson
-level, step 1e-5 * max(1, |z|), paths re-projected on the sphere.
+level, paths re-projected on the sphere.  First derivatives step
+1e-5 * max(1, |z|); the mixed second difference steps 1e-3 * max(1, |z|),
+because its roundoff grows like 1/h^2 rather than 1/h.
 """
 
 from __future__ import annotations
@@ -665,11 +667,14 @@ def fd_LR(space, z, X, Y, f=None, h=None):
     """Mixed second difference L_X R_Y f evaluated at (z, z).
 
     Four-point stencil with one Richardson level.  Defaults to the kernel.
+    h defaults to 1e-3 * max(1, |z|): the stencil divides roundoff by h^2,
+    and after the Richardson level the truncation error is O(h^4), so the
+    first-derivative step 1e-5 would leave ~1e-6 relative noise.
     """
     if f is None:
         f = space.kernel
     if h is None:
-        h = 1e-5 * _point_scale(z)
+        h = 1e-3 * _point_scale(z)
 
     def d(step):
         fa = f(space.chart_path(z, X, step), space.chart_path(z, Y, step))

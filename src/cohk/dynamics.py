@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -142,10 +143,6 @@ def _from_coords(space, arr, scalar):
     return np.asarray(arr).real.copy()
 
 
-def _real_dim(space):
-    return 2 * space.coord_len if space.complex_chart else space.coord_len
-
-
 def _tangent_from_real(space, x):
     """Real coefficient vector -> chart tangent (complex pairing Re, Im)."""
     if space.complex_chart:
@@ -153,9 +150,23 @@ def _tangent_from_real(space, x):
     return np.asarray(x, dtype=float)
 
 
-def _displace(space, z, v, t=1.0):
-    arr, scalar = _coords(space, z)
-    return _from_coords(space, arr + t * np.atleast_1d(v), scalar)
+@lru_cache(maxsize=None)
+def _realifier(m):
+    """D and D* for m chart coordinates: row j of D sends coordinate j to
+    the real slots 2j, 2j + 1.  Built once per chart size and shared,
+    hence read-only."""
+    eye = np.eye(2 * m)
+    D = eye[0::2] + 1j * eye[1::2]
+    Dh = D.conj().T
+    D.flags.writeable = Dh.flags.writeable = False
+    return D, Dh
+
+
+def _real_basis(space):
+    """Chart tangents of the real unit vectors, one per row."""
+    if space.complex_chart:
+        return _realifier(space.coord_len)[0].T
+    return np.eye(space.coord_len)
 
 
 # ---------------------------------------------------------------------------
@@ -252,13 +263,9 @@ def symplectic_matrix(space, z):
         raise DegenerateFormError(
             f"coherent 2-form vanishes identically on {space.space_id}"
         )
-    m = space.coord_len
     H = _mixed_matrix(space, z)
-    D = np.zeros((m, 2 * m), dtype=complex)
-    for j in range(m):
-        D[j, 2 * j] = 1.0
-        D[j, 2 * j + 1] = 1.0j
-    A = 2.0 * np.imag(D.conj().T @ H @ D)
+    D, Dh = _realifier(space.coord_len)
+    A = 2.0 * np.imag(Dh @ H @ D)
     if not np.all(np.isfinite(A)) or np.linalg.cond(A) >= 1e12:
         raise DegenerateFormError(f"coherent 2-form degenerate at z = {z!r}")
     return A
@@ -269,14 +276,11 @@ def _grad(space, f, z, h=None):
     arr, scalar = _coords(space, z)
     if h is None:
         h = 1e-6 * max(1.0, float(np.linalg.norm(arr)))
-    dim = _real_dim(space)
-    g = np.empty(dim, dtype=complex)
-    for a in range(dim):
-        x = np.zeros(dim)
-        x[a] = 1.0
-        T = _tangent_from_real(space, x)
-        fp = f(_displace(space, z, T, h))
-        fm = f(_displace(space, z, T, -h))
+    basis = _real_basis(space)
+    g = np.empty(len(basis), dtype=complex)
+    for a, T in enumerate(basis):
+        fp = f(_from_coords(space, arr + h * T, scalar))
+        fm = f(_from_coords(space, arr + (-h) * T, scalar))
         g[a] = (complex(fp) - complex(fm)) / (2.0 * h)
     return g
 

@@ -55,10 +55,15 @@ __all__ = [
 
 
 def klauder_kernel(z, zp):
-    """K(z, z') = exp(conj(z0) + z0' + zhat* zhat') on flat [z0, zhat] labels."""
+    """K(z, z') = exp(conj(z0) + z0' + zhat* zhat') on flat [z0, zhat] labels.
+
+    zp may stack right labels along leading axes; a single label gives a
+    Python complex, a stack an array of the stack's shape.
+    """
     z = np.asarray(z, dtype=complex)
     zp = np.asarray(zp, dtype=complex)
-    return complex(np.exp(np.conj(z[0]) + zp[0] + np.vdot(z[1:], zp[1:])))
+    k = np.exp(np.conj(z[0]) + zp[..., 0] + zp[..., 1:] @ np.conj(z[1:]))
+    return complex(k) if zp.ndim == 1 else k
 
 
 def _as_vec(v, n, name):
@@ -204,12 +209,15 @@ def gamma_element(A, z, zp):
 
 
 def dgamma_element(gen, z, zp):
-    """<z| dGamma(X_{rho,p,q,X}) |z'> = K(z,z') (rho + p* zhat' + zhat* q + zhat* X zhat')."""
+    """<z| dGamma(X_{rho,p,q,X}) |z'> = K(z,z') (rho + p* zhat' + zhat* q + zhat* X zhat').
+
+    Broadcasts over stacked right labels like klauder_kernel.
+    """
     z = np.asarray(z, dtype=complex)
     zp = np.asarray(zp, dtype=complex)
-    zh, zph = z[1:], zp[1:]
-    lin = gen.rho + np.vdot(gen.p, zph) + np.vdot(zh, gen.q) + np.vdot(zh, gen.X @ zph)
-    return klauder_kernel(z, zp) * complex(lin)
+    czh, zph = np.conj(z[1:]), zp[..., 1:]
+    lin = gen.rho + zph @ np.conj(gen.p) + czh @ gen.q + (zph @ gen.X.T) @ czh
+    return klauder_kernel(z, zp) * (complex(lin) if zp.ndim == 1 else lin)
 
 
 def annihilation_element(q, z, zp):

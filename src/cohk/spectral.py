@@ -1,15 +1,21 @@
 """Spectral analysis through autocorrelation of the coherent product.
 
 Everything here consumes K_t(z, z') = <z| e^{-i t H / hbar} |z'>, sampled
-on a uniform grid by exact oscillator stepping.  Time averages pick out
-eigencomponents, a Hann-windowed Fourier scan locates spectral lines, and
-damped one-sided quadrature
+on a uniform grid of exact oscillator flow points.  The flow is built by
+doubling: the block exponential of m steps, for m = 1, 2, 4, ..., maps the
+first m points onto the next m, so a series of N steps costs log2(N)
+exponentials and matrix products and each point carries the rounding of
+at most log2(N) of them.  Time averages pick out eigencomponents, a
+Hann-windowed Fourier scan locates spectral lines, and damped one-sided
+quadrature
 
     G(E) = -iota * integral_0^tmax e^{iota t E} K_t dt,   iota = i / hbar
 
 produces resolvent matrix elements for Im E > 0 (the sign is fixed by the
-zero-generator case G(E) = K/E).  Negative times are synthesized from
-K_{-t}(z, z') = conj(K_t(z', z)) rather than integrated.
+zero-generator case G(E) = K/E).  Fourier sums over a uniform energy grid
+are one chirp-z (Bluestein) convolution, so energy grids must be uniform.
+Negative times are synthesized from K_{-t}(z, z') = conj(K_t(z', z))
+rather than integrated.
 """
 
 from __future__ import annotations
@@ -21,7 +27,7 @@ import numpy as np
 
 from .core import DomainError
 from .dynamics import AutocorrSeries, flow_exact
-from .fock import dgamma_element, gen_block, klauder_kernel, osc_act, osc_from_block
+from .fock import dgamma_element, gen_block, klauder_kernel
 
 __all__ = [
     "ResolventSample",
@@ -58,15 +64,24 @@ class ResolventSample:
 
 
 def _flow_points(gen, z_start, n_steps, dt, hbar):
-    """Labels psi(k dt) for k = 0..n_steps, by iterating one exact step."""
+    """Labels psi(k dt) for k = 0..n_steps, by doubling.
+
+    Homogeneous labels [z, 1] transform by the block exponential
+    P_m = expm(-i m dt gen_block / hbar), so pts[m:2m] = pts[:m] @ P_m.T
+    for m = 1, 2, 4, ...  Each P_m is a fresh exponential rather than the
+    square of the previous one, which would compound its rounding.
+    """
     from scipy.linalg import expm
 
-    step = osc_from_block(expm((-1j * dt / hbar) * gen_block(gen)))
-    pts = np.empty((n_steps + 1, gen.n + 1), dtype=complex)
-    pts[0] = np.asarray(z_start, dtype=complex)
-    for k in range(n_steps):
-        pts[k + 1] = osc_act(step, pts[k])
-    return pts
+    G = (-1j * dt / hbar) * gen_block(gen)
+    pts = np.ones((n_steps + 1, gen.n + 2), dtype=complex)
+    pts[0, :-1] = z_start
+    m = 1
+    while m <= n_steps:
+        k = min(m, n_steps + 1 - m)
+        pts[m:m + k, :-1] = pts[:k] @ expm(m * G)[:-1].T
+        m += k
+    return pts[:, :-1]
 
 
 def oscillator_series(gen, z, zp, t_max, dt, hbar=1.0):
@@ -80,10 +95,9 @@ def oscillator_series(gen, z, zp, t_max, dt, hbar=1.0):
             "close to the real axis needs the eta extrapolation instead"
         )
     pts = _flow_points(gen, zp, n_steps, dt, hbar)
-    z = np.asarray(z, dtype=complex)
-    expo = np.conj(z[0]) + pts[:, 0] + pts[:, 1:] @ np.conj(z[1:])
-    return AutocorrSeries(0.0, dt, np.exp(expo), space_id=f"klauder({gen.n})",
-                          z=z, zp=np.asarray(zp, dtype=complex), hbar=hbar)
+    return AutocorrSeries(0.0, dt, klauder_kernel(z, pts), space_id=f"klauder({gen.n})",
+                          z=np.asarray(z, dtype=complex),
+                          zp=np.asarray(zp, dtype=complex), hbar=hbar)
 
 
 def _two_sided(series, swapped):
@@ -140,31 +154,46 @@ def eigencomponent_overlap(space, zp, traj, E, T, hbar=1.0):
 # line spectrum
 
 
-def _windowed_coefficient(vals, dt, T, E, hbar, chunk=256):
-    """(1/2T) integral w(t) e^{iota t E} K_t dt on the symmetric grid, for an
-    array of energies, evaluated in chunks to bound memory."""
-    n = (len(vals) - 1) // 2
-    t = dt * np.arange(-n, n + 1)
-    w = 0.5 * (1.0 + np.cos(np.pi * t / T))
-    trap = np.ones(len(t))
-    trap[0] = trap[-1] = 0.5
-    base = w * trap * vals * (dt / (2.0 * T))
-    E = np.atleast_1d(np.asarray(E, dtype=float))
-    out = np.empty(len(E), dtype=complex)
-    iota = 1j / hbar
-    for i in range(0, len(E), chunk):
-        ph = np.exp(iota * np.outer(E[i : i + chunk], t))
-        out[i : i + chunk] = ph @ base
-    return out
+def _uniform_fourier(x, t0, dt, E_grid, iota):
+    """sum_j x_j e^{iota E_k t_j} with t_j = t0 + j dt, for every E_k of a
+    uniform grid, as one chirp-z (Bluestein) convolution.
+
+    With E_k = E_0 + k dE, the cross term e^{a k j} (a = iota dE dt) splits
+    by k j = (k^2 + j^2 - (k - j)^2) / 2 into two chirps around a
+    convolution, which numpy.fft evaluates in O((N + M) log(N + M)).  The
+    chirp phases come from exact integer squares, so their rounding is
+    that of one product rather than of a running sum.
+    """
+    x = np.asarray(x, dtype=complex)
+    E = np.atleast_1d(np.asarray(E_grid, dtype=float))
+    n, m = len(x), len(E)
+    if m == 0:
+        return np.zeros(0, dtype=complex)
+    dE = (E[-1] - E[0]) / (m - 1) if m > 1 else 0.0
+    drift = np.abs(E - (E[0] + dE * np.arange(m))).max()
+    if drift > 1e-12 * max(1.0, abs(E[0]), abs(E[-1])):
+        raise DomainError("energy grid must be uniformly spaced")
+    half_a = 0.5 * iota * dE * dt
+    j, k, neg = np.arange(n), np.arange(m), np.arange(1 - n, 0)
+    k2 = (k * k).astype(float)
+    size = 1 << (n + m - 2).bit_length()
+    y = x * np.exp(iota * E[0] * dt * j + half_a * (j * j).astype(float))
+    chirp = np.zeros(size, dtype=complex)
+    chirp[:m] = np.exp(-half_a * k2)
+    chirp[size - n + 1:] = np.exp(-half_a * (neg * neg).astype(float))
+    conv = np.fft.ifft(np.fft.fft(y, size) * np.fft.fft(chirp))[:m]
+    return np.exp(iota * E * t0 + half_a * k2) * conv
 
 
 def spectrum_scan(series, E_grid, swapped=None, floor=1e-4):
     """Locate spectral lines by a Hann-windowed scan of the autocorrelation.
 
-    The grid must be at least as fine as pi/T (Rayleigh limit of the
-    window, which doubles the raw resolution).  Peaks are refined twice by
-    parabolic interpolation and re-evaluated exactly at the refined
-    energy; the Hann coherent gain of 0.5 is divided out of the weight.
+    The grid must be uniform (the scan is one chirp-z transform; other
+    grids raise DomainError) and at least as fine as pi/T (Rayleigh limit
+    of the window, which doubles the raw resolution).  Peaks are refined
+    twice by parabolic interpolation on 3-point grids and re-evaluated at
+    the refined energy; the Hann coherent gain of 0.5 is divided out of
+    the weight.
     """
     E_grid = np.asarray(E_grid, dtype=float)
     if len(E_grid) < 3:
@@ -177,9 +206,18 @@ def spectrum_scan(series, E_grid, swapped=None, floor=1e-4):
             f"grid spacing {cell:g} exceeds the window resolution pi/T = "
             f"{math.pi / T:g}; lines could fall between samples"
         )
-    vals = _two_sided(series, swapped)
-    hbar = series.hbar
-    mag = np.abs(_windowed_coefficient(vals, dt, T, E_grid, hbar))
+    # (1/2T) integral w(t) e^{iota t E} K_t dt, Hann window w, trapezoid
+    n = len(series.values) - 1
+    t = dt * np.arange(-n, n + 1)
+    trap = np.ones(len(t))
+    trap[0] = trap[-1] = 0.5
+    base = (0.5 * (1.0 + np.cos(np.pi * t / T)) * trap
+            * _two_sided(series, swapped) * (dt / (2.0 * T)))
+
+    def windowed(E):
+        return np.abs(_uniform_fourier(base, -T, dt, E, 1j / series.hbar))
+
+    mag = windowed(E_grid)
     top = float(mag.max())
     peaks = [i for i in range(1, len(E_grid) - 1)
              if mag[i] >= floor * top
@@ -208,13 +246,12 @@ def spectrum_scan(series, E_grid, swapped=None, floor=1e-4):
         e_ref = E_grid[i]
         h = cell
         for _ in range(2):
-            m3 = np.abs(_windowed_coefficient(
-                vals, dt, T, [e_ref - h, e_ref, e_ref + h], hbar))
+            m3 = windowed([e_ref - h, e_ref, e_ref + h])
             denom = m3[0] - 2.0 * m3[1] + m3[2]
             if denom < 0.0:
                 e_ref += 0.5 * h * (m3[0] - m3[2]) / denom
             h /= 4.0
-        c_star = np.abs(_windowed_coefficient(vals, dt, T, [e_ref], hbar))[0]
+        c_star = windowed([e_ref])[0]
         lines.append(SpectralLine(float(e_ref), float(c_star / 0.5)))
     lines.sort(key=lambda L: L.energy)
     return lines
@@ -262,17 +299,9 @@ def resolvent_symmetry_residual(space, ham, z, zp, E, t_max=0.0, dt=1e-2):
     hbar = ham.hbar
     if t_max <= 0:
         t_max = _auto_t_max(E, hbar)
-    n_steps = int(round(t_max / dt))
-    from scipy.linalg import expm
-
-    step = osc_from_block(expm((+1j * dt / hbar) * gen_block(ham.gen)))
-    pts = np.empty((n_steps + 1, ham.gen.n + 1), dtype=complex)
-    pts[0] = np.asarray(z, dtype=complex)
-    for k in range(n_steps):
-        pts[k + 1] = osc_act(step, pts[k])
-    zp = np.asarray(zp, dtype=complex)
-    kvals = np.exp(np.conj(zp[0]) + pts[:, 0] + pts[:, 1:] @ np.conj(zp[1:]))
-    t = dt * np.arange(n_steps + 1)
+    pts = _flow_points(ham.gen, z, int(round(t_max / dt)), -dt, hbar)
+    kvals = klauder_kernel(zp, pts)
+    t = dt * np.arange(len(pts))
     iota = 1j / hbar
     b = iota * np.trapezoid(np.exp(-iota * np.conj(E) * t) * kvals, dx=dt)
     return abs(g - np.conj(b))
@@ -330,7 +359,8 @@ def rational_element(space, ham, z, zp, A_roots, B_coeffs, eta=0.05,
 
 
 def spectral_density(space, ham, z, zp, E_grid, eta, dt=1e-2):
-    """-(1/pi) Im G(E + i eta) on the energy grid, from one shared series."""
+    """-(1/pi) Im G(E + i eta) on a uniform energy grid, from one shared
+    series and one chirp-z transform; other grids raise DomainError."""
     if eta <= 0:
         raise DomainError("eta must be positive")
     hbar = ham.hbar
@@ -341,14 +371,8 @@ def spectral_density(space, ham, z, zp, E_grid, eta, dt=1e-2):
     damp = series.values * np.exp(-eta * t / hbar)
     trap = np.ones(len(t))
     trap[0] = trap[-1] = 0.5
-    base = damp * trap * dt
-    E_grid = np.asarray(E_grid, dtype=float)
-    out = np.empty(len(E_grid))
-    for i in range(0, len(E_grid), 256):
-        ph = np.exp(iota * np.outer(E_grid[i : i + 256], t))
-        g = -iota * (ph @ base)
-        out[i : i + 256] = -g.imag / math.pi
-    return out
+    g = -iota * _uniform_fourier(damp * trap * dt, 0.0, dt, E_grid, iota)
+    return -g.imag / math.pi
 
 
 def kt_roundtrip_residual(space, ham, z, zp, t, eta, E_grid, dt=1e-2):
@@ -405,9 +429,8 @@ def resolvent_equation_residual(space, ham, z, zp, E, t_max=0.0, dt=1e-2):
     hbar = ham.hbar
     iota = 1j / hbar
     g = -iota * np.trapezoid(phase * series.values, dx=series.dt)
-    n_steps = len(t) - 1
-    pts = _flow_points(ham.gen, zp, n_steps, series.dt, hbar)
-    hvals = np.array([dgamma_element(ham.gen, z, p) for p in pts])
+    pts = _flow_points(ham.gen, zp, len(t) - 1, series.dt, hbar)
+    hvals = dgamma_element(ham.gen, z, pts)
     og = -iota * np.trapezoid(phase * hvals, dx=series.dt)
     k = klauder_kernel(z, zp)
     return abs(E * g - og - k) / abs(k)

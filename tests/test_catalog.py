@@ -174,6 +174,20 @@ def test_geometry_closed_matches_fd(space, rng):
             assert max(rep.rel_discrepancies[:2]) < 1e-5
 
 
+def test_geometry_closed_matches_fd_at_2000_cases(space, rng):
+    # the scale of the sweep workload: the mixed second difference must not
+    # let roundoff reach the 1e-5 contract on any of the sampled cases
+    worst = 0.0
+    for _ in range(2000):
+        z = space.sample_point(rng)
+        X = space.sample_tangent(z, rng)
+        Y = space.sample_tangent(z, rng)
+        rep = geometry_report(space, z, X, Y)
+        if rep.provenance == "closed":
+            worst = max(worst, *rep.rel_discrepancies[:2])
+    assert worst <= 1e-5
+
+
 def test_geometry_fd_fallback_near_real_axis():
     sp = make_space("debranges", preset="exp")
     rep = geometry_report(sp, 0.5 + 1e-6j, 1.0, 1.0j)

@@ -1,11 +1,17 @@
 """Config validation, exit codes, and output determinism of the cohk CLI."""
 
 import json
+import math
 import os
+import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import cohk
 from cohk.cli import ConfigError, main, run_config
 
 
@@ -133,6 +139,42 @@ def test_exit_one_on_check_failure(tmp_path, capsys):
     code = main(["run", path, "--out", str(tmp_path / "out")])
     assert code == 1
     assert "[FAIL]" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("experiment,params,path", [
+    ("dynamics", {"dt": math.nan}, r"params\.dt"),
+    ("dynamics", {"t_end": math.inf}, r"params\.t_end"),
+    ("dynamics", {"t_end": 10 ** 400}, r"params\.t_end"),
+    ("spectrum", {"E_step": math.nan}, r"params\.E_step"),
+    ("resolvent", {"E": [0.5, math.nan]}, r"params\.E"),
+    ("resolvent", {"t_max": math.inf}, r"params\.t_max"),
+])
+def test_non_finite_values_exit_two(tmp_path, capsys, experiment, params, path):
+    # Python's json reads NaN, Infinity and integers no float can hold; they
+    # are config errors, not tracebacks (exit 1 would claim a failed check)
+    cfg = _base(experiment, params=params)
+    code = main(["run", _write_config(tmp_path, cfg), "--out", str(tmp_path / "out")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and re.search(path, err)
+
+
+def test_python_dash_m_exit_codes(tmp_path):
+    src = str(Path(cohk.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    cases = [
+        (0, _base(params={"samples": 1, "n_points": 4})),
+        (1, _base("dynamics", params={"t_end": 0.2, "dt": 0.05, "err_tol": 1e-18})),
+        (2, _base(experiment="mystery")),
+    ]
+    for want, cfg in cases:
+        path = _write_config(tmp_path, cfg, name=f"exit{want}.json")
+        proc = subprocess.run(
+            [sys.executable, "-m", "cohk", "run", path, "--out", str(tmp_path / f"out{want}")],
+            env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == want, proc.stderr
+        assert "Traceback" not in proc.stderr
 
 
 def test_list_exits_zero_and_names_all_experiments(capsys):

@@ -152,6 +152,30 @@ def test_dgamma_is_the_derivative_of_gamma_along_exp():
         assert fd == pytest.approx(closed, rel=1e-8, abs=1e-10)
 
 
+def test_kernel_and_dgamma_broadcast_over_stacked_labels():
+    rng = np.random.default_rng(SEED)
+    for n in (1, 3):
+        g = _random_generator(rng, n)
+        z = _random_label(rng, n)
+        zps = np.stack([_random_label(rng, n) for _ in range(12)]).reshape(3, 4, n + 1)
+        k = klauder_kernel(z, zps)
+        h = dgamma_element(g, z, zps)
+        assert k.shape == h.shape == (3, 4)
+        for idx in np.ndindex(3, 4):
+            one_k = klauder_kernel(z, zps[idx])
+            one_h = dgamma_element(g, z, zps[idx])
+            assert type(one_k) is complex and type(one_h) is complex
+            # per-label definitions, written out independently
+            zh, zph = z[1:], zps[idx][1:]
+            want_k = np.exp(np.conj(z[0]) + zps[idx][0] + np.vdot(zh, zph))
+            want_h = want_k * (g.rho + np.vdot(g.p, zph) + np.vdot(zh, g.q)
+                               + np.vdot(zh, g.X @ zph))
+            assert k[idx] == pytest.approx(one_k, rel=1e-14)
+            assert h[idx] == pytest.approx(one_h, rel=1e-13)
+            assert one_k == pytest.approx(want_k, rel=1e-14)
+            assert one_h == pytest.approx(want_h, rel=1e-13)
+
+
 def test_dgamma_number_operator_harmonic_point():
     z = np.array([-0.5, 1.0], dtype=complex)
     n_op = OscGenerator(0.0, np.zeros(1), np.zeros(1), np.eye(1))

@@ -9,12 +9,15 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 from cohk.core import DomainError
 from cohk.catalog import make_space
 from cohk.dynamics import HamiltonianSpec, propagate_ode
-from cohk.fock import OscGenerator, klauder_kernel
+from cohk.fock import OscGenerator, gen_block, klauder_kernel, osc_act, osc_from_block
 from cohk.spectral import (
+    _flow_points,
+    _uniform_fourier,
     eigencomponent_overlap,
     kt_roundtrip_residual,
     oscillator_series,
@@ -264,3 +267,114 @@ def test_eigencomponent_overlap_from_trajectory():
     assert got == pytest.approx(_w(1), abs=5e-3)
     flat = eigencomponent_overlap(space, Z0, traj, 0.0, 300.0)
     assert flat == pytest.approx(_w(0), abs=5e-3)
+
+
+# ---- array routines against the step loop and the dense Fourier sum ----
+#
+# The oracles below are the per-step loop and the dense exp(outer(E, t))
+# sum that _flow_points and _uniform_fourier replaced; they live only here.
+
+
+def _loop_flow(gen, z, n_steps, dt, hbar=1.0):
+    step = osc_from_block(expm((-1j * dt / hbar) * gen_block(gen)))
+    pts = [np.asarray(z, dtype=complex)]
+    for _ in range(n_steps):
+        pts.append(osc_act(step, pts[-1]))
+    return np.array(pts)
+
+
+def _dense_fourier(x, t0, dt, E, iota):
+    t = t0 + dt * np.arange(len(x))
+    return np.array([np.exp(iota * e * t) @ x for e in E])
+
+
+def _driven_generator():
+    # non-Hermitian X: the flow grows like e^{0.3 t}
+    return OscGenerator(0.2 - 0.1j, [0.3 + 0.2j], [-0.1 + 0.4j],
+                        np.array([[1.0 + 0.3j]]))
+
+
+@pytest.mark.parametrize("n_steps", [0, 1, 2, 3, 7, 8, 9, 1023, 1024, 1025])
+def test_flow_points_edge_counts(n_steps):
+    gen = _driven_generator()
+    z = np.array([0.1 - 0.2j, 0.6 + 0.3j])
+    pts = _flow_points(gen, z, n_steps, 1e-2, 1.0)
+    ref = _loop_flow(gen, z, n_steps, 1e-2)
+    assert pts.shape == (n_steps + 1, 2)
+    assert np.array_equal(pts[0], z)
+    assert np.abs(pts - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+def test_flow_points_matches_step_loop_non_hermitian():
+    gen = _driven_generator()
+    z = np.array([0.1 - 0.2j, 0.6 + 0.3j])
+    pts = _flow_points(gen, z, 100_000, 1e-3, 1.0)
+    ref = _loop_flow(gen, z, 100_000, 1e-3)
+    rel = np.abs(pts - ref).max(axis=1) / np.abs(ref).max(axis=1)
+    assert rel.max() <= 1e-10
+
+
+def test_flow_points_backward_steps_invert_forward():
+    gen = _driven_generator()
+    z = np.array([0.1 - 0.2j, 0.6 + 0.3j])
+    fwd = _flow_points(gen, z, 500, 1e-2, 1.0)
+    back = _flow_points(gen, fwd[-1], 500, -1e-2, 1.0)
+    assert np.abs(back[::-1] - fwd).max() <= 1e-12 * np.abs(fwd).max()
+
+
+def test_flow_points_harmonic_closed_form_2_19_steps():
+    dt = 2.0 ** -10
+    pts = _flow_points(_number_op(), Z0, 2 ** 19, dt, 1.0)
+    t = dt * np.arange(2 ** 19 + 1)
+    assert np.abs(pts[:, 1] - np.exp(-1j * t) * Z0[1]).max() <= 1e-14
+    assert np.all(pts[:, 0] == Z0[0])
+
+
+def _assert_fourier_agrees(x, t0, dt, E, iota, rows=None):
+    got = _uniform_fourier(x, t0, dt, E, iota)
+    assert got.shape == (len(E),)
+    rows = np.arange(len(E)) if rows is None else rows
+    want = _dense_fourier(x, t0, dt, np.asarray(E)[rows], iota)
+    assert np.abs(got[rows] - want).max() <= 1e-11 * np.abs(x).sum()
+
+
+def test_uniform_fourier_on_the_criterion_6_grid():
+    # the dense oracle is evaluated on every 7th energy (and the last) to
+    # keep it to 2.5e7 exponentials; the transform itself covers the grid
+    ser = oscillator_series(_number_op(), Z0, Z0, 400.0 * math.pi, 0.05)
+    vals = np.concatenate([np.conj(ser.values[:0:-1]), ser.values])
+    T = ser.times[-1]
+    assert len(vals) == 50_267
+    grid = np.arange(-0.5, 6.5 + 1e-12, 0.002)
+    assert len(grid) == 3_501
+    rows = np.r_[np.arange(0, len(grid), 7), len(grid) - 1]
+    _assert_fourier_agrees(vals, -T, 0.05, grid, 1j, rows)
+
+
+def test_uniform_fourier_on_the_roundtrip_grid():
+    ham = HamiltonianSpec(gen=_zero_op())
+    eta, dt = 0.05, 1e-2
+    ser = oscillator_series(ham.gen, Z0, Z0, math.log(1e12) / eta, dt)
+    x = ser.values * np.exp(-eta * ser.times) * dt
+    grid = np.arange(-35.0, 35.0 + 1e-9, 0.025)
+    rows = np.r_[np.arange(0, len(grid), 7), len(grid) - 1]
+    _assert_fourier_agrees(x, 0.0, dt, grid, 1j, rows)
+
+
+@pytest.mark.parametrize("E", [[1.0], [0.97, 1.0, 1.03], [-2.5, -2.5 + 1e-3, -2.5 + 2e-3]])
+def test_uniform_fourier_on_one_and_three_point_grids(E):
+    rng = np.random.default_rng(SEED)
+    x = rng.normal(size=4001) + 1j * rng.normal(size=4001)
+    _assert_fourier_agrees(x, -20.0, 0.01, E, 1j)
+    _assert_fourier_agrees(x, 3.0, 0.01, E, 1j / 0.7)
+
+
+def test_non_uniform_grids_are_rejected(harmonic_series):
+    bent = np.r_[np.arange(-0.5, 2.0, 0.004), np.arange(2.0, 4.5, 0.003)]
+    with pytest.raises(DomainError, match="uniform"):
+        spectrum_scan(harmonic_series, bent)
+    ham = HamiltonianSpec(gen=_number_op())
+    with pytest.raises(DomainError, match="uniform"):
+        spectral_density(None, ham, Z0, Z0, [0.0, 1.0, 3.0], 0.05)
+    with pytest.raises(DomainError, match="uniform"):
+        _uniform_fourier(np.ones(5), 0.0, 0.1, [0.0, 0.1, 0.2 + 1e-6], 1j)
