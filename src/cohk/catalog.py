@@ -1,7 +1,9 @@
 """Concrete coherent spaces and the finite-difference derivation oracle.
 
-Eight spaces are provided, each with a vectorized kernel, seeded samplers
-and closed-form first/second kernel derivatives:
+Eight spaces are provided, each with one kernel, seeded samplers and
+closed-form first/second kernel derivatives.  Every kernel is a single
+numpy expression that broadcasts over stacked leading axes of its two
+labels; a single pair gives a complex scalar.
 
 ========== =========================== =================================
 name       points                      kernel
@@ -19,9 +21,11 @@ debranges  complex plane, structure E  see :class:`DeBrangesSpace`
 Derivations along chart paths are written L_X (left slot) and R_X (right
 slot).  The finite-difference versions are the ground truth the closed
 forms are validated against: central differences with one Richardson
-level, paths re-projected on the sphere.  First derivatives step
-1e-5 * max(1, |z|); the mixed second difference steps 1e-3 * max(1, |z|),
-because its roundoff grows like 1/h^2 rather than 1/h.
+level, paths re-projected on the sphere.  Each stencil, both Richardson
+steps included, is one call of the differentiated function on stacked
+chart-path points.  First derivatives step 1e-5 * max(1, |z|); the mixed
+second difference steps 1e-3 * max(1, |z|), because its roundoff grows
+like 1/h^2 rather than 1/h.
 """
 
 from __future__ import annotations
@@ -33,6 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import AxiomViolationError, CoherentSpace, DomainError
+from .fock import _klauder_exponent
 
 __all__ = [
     "DeBrangesSpace",
@@ -82,10 +87,7 @@ class EuclideanSpace(CoherentSpace):
         self.space_id = f"euclidean({dim})"
 
     def kernel(self, z, zp):
-        return complex(np.dot(z, zp))
-
-    def kernel_batch(self, Z, Zp):
-        return np.sum(Z * Zp, axis=-1).astype(complex)
+        return np.vecdot(z, zp, dtype=complex)
 
     def validate(self, z):
         z = np.asarray(z, dtype=float)
@@ -125,10 +127,7 @@ class HermitianSpace(CoherentSpace):
         self.space_id = f"hermitian({dim})"
 
     def kernel(self, z, zp):
-        return complex(np.vdot(z, zp))
-
-    def kernel_batch(self, Z, Zp):
-        return np.sum(np.conj(Z) * Zp, axis=-1)
+        return np.vecdot(z, zp)
 
     def validate(self, z):
         z = np.asarray(z, dtype=complex)
@@ -182,8 +181,8 @@ class UnitSphereSpace(HermitianSpace):
         return z
 
     def chart_path(self, z, X, t):
-        w = z + t * X
-        return w / math.sqrt(np.vdot(w, w).real)
+        w = super().chart_path(z, X, t)
+        return w / np.sqrt(np.vecdot(w, w).real)[..., None]
 
     def sample_point(self, rng):
         v = rng.normal(size=self.dim) + 1j * rng.normal(size=self.dim)
@@ -213,13 +212,7 @@ class KlauderSpace(CoherentSpace):
         self.space_id = f"klauder({dim})"
 
     def kernel(self, z, zp):
-        return complex(cmath.exp(np.conj(z[0]) + zp[0] + np.vdot(z[1:], zp[1:])))
-
-    def kernel_batch(self, Z, Zp):
-        expo = np.conj(Z[..., 0]) + Zp[..., 0] + np.sum(
-            np.conj(Z[..., 1:]) * Zp[..., 1:], axis=-1
-        )
-        return np.exp(expo)
+        return np.exp(_klauder_exponent(z, zp))
 
     def validate(self, z):
         z = np.asarray(z, dtype=complex)
@@ -272,6 +265,18 @@ class KlauderSpace(CoherentSpace):
 # scalar-chart spaces
 
 
+def _lift(z, zp):
+    """Scalar-chart labels as complex arrays with a trailing unit axis, so a
+    single pair runs through numpy's array loops like a stacked one (its
+    scalar complex product rounds differently); ``_drop`` undoes it."""
+    return np.asarray(z, dtype=complex)[..., None], np.asarray(zp, dtype=complex)[..., None]
+
+
+def _drop(k):
+    """Undo ``_lift``: a single pair comes back as a complex scalar."""
+    return k[..., 0][()]
+
+
 class _ScalarSpace(CoherentSpace):
     coord_len = 1
 
@@ -288,10 +293,7 @@ class ReciprocalSpace(_ScalarSpace):
         self.space_id = "reciprocal"
 
     def kernel(self, z, zp):
-        return complex(1.0 / (z + zp))
-
-    def kernel_batch(self, Z, Zp):
-        return (1.0 / (Z + Zp)).astype(complex)
+        return 1.0 / (z + zp) + 0j
 
     def validate(self, z):
         z = float(z)
@@ -325,10 +327,8 @@ class SzegoSpace(_ScalarSpace):
         self.space_id = "szego"
 
     def kernel(self, z, zp):
-        return complex(1.0 / (1.0 - np.conj(z) * zp))
-
-    def kernel_batch(self, Z, Zp):
-        return 1.0 / (1.0 - np.conj(Z) * Zp)
+        u, w = _lift(z, zp)
+        return _drop(1.0 / (1.0 - np.conj(u) * w))
 
     def validate(self, z):
         z = complex(z)
@@ -382,12 +382,8 @@ class SchurSpace(_ScalarSpace):
                     )
 
     def kernel(self, z, zp):
-        return complex(
-            (1.0 - np.conj(self.s(z)) * self.s(zp)) / (1.0 - np.conj(z) * zp)
-        )
-
-    def kernel_batch(self, Z, Zp):
-        return (1.0 - np.conj(self.s(Z)) * self.s(Zp)) / (1.0 - np.conj(Z) * Zp)
+        u, w = _lift(z, zp)
+        return _drop((1.0 - np.conj(self.s(u)) * self.s(w)) / (1.0 - np.conj(u) * w))
 
     validate = SzegoSpace.validate
     sample_point = SzegoSpace.sample_point
@@ -455,36 +451,22 @@ class DeBrangesSpace(_ScalarSpace):
     def _N(self, u, w):
         return self._Ebar(u) * self.E(w) - self.E(u) * self._Ebar(w)
 
-    def _diag_branch(self, m):
-        # limit of N / (2i (u - w)) as both arguments meet at m
-        return (self.E(m) * self._Ebar_prime(m) - self.E_prime(m) * self._Ebar(m)) / 2j
-
-    def _kernel_one_sided(self, z, zp):
-        u, w = np.conj(z), zp
+    def _one_sided(self, u, w):
+        # N / (2i (u - w)), or its limit at the midpoint m when u and w meet
         d = u - w
-        if abs(d) < self._diag_cut:
-            return complex(self._diag_branch((u + w) / 2.0))
-        return complex(self._N(u, w) / (2j * d))
+        near = np.abs(d) < self._diag_cut
+        m = (u + w) / 2.0
+        return np.where(
+            near,
+            (self.E(m) * self._Ebar_prime(m) - self.E_prime(m) * self._Ebar(m)) / 2j,
+            self._N(u, w) / (2j * np.where(near, 1.0, d)),
+        )
 
     def kernel(self, z, zp):
-        a = self._kernel_one_sided(z, zp)
-        b = self._kernel_one_sided(zp, z)
-        return (a + np.conj(b)) / 2.0
-
-    def kernel_batch(self, Z, Zp):
-        def one_sided(u, w):
-            d = u - w
-            near = np.abs(d) < self._diag_cut
-            m = (u + w) / 2.0
-            return np.where(
-                near,
-                (self.E(m) * self._Ebar_prime(m) - self.E_prime(m) * self._Ebar(m)) / 2j,
-                self._N(u, w) / (2j * np.where(near, 1.0, d)),
-            )
-
-        Z = np.asarray(Z, dtype=complex)
-        Zp = np.asarray(Zp, dtype=complex)
-        return (one_sided(np.conj(Z), Zp) + np.conj(one_sided(np.conj(Zp), Z))) / 2.0
+        u, w = _lift(z, zp)
+        a = self._one_sided(np.conj(u), w)
+        b = self._one_sided(np.conj(w), u)
+        return _drop((a + np.conj(b)) / 2.0)
 
     def validate(self, z):
         z = complex(z)
@@ -629,64 +611,63 @@ def _richardson(d_h, d_h2):
     return (4.0 * d_h2 - d_h) / 3.0
 
 
+def _checked(out):
+    if not np.all(np.isfinite([out.real, out.imag])):
+        raise AxiomViolationError("non-finite finite difference")
+    return out
+
+
+def _first_difference(f_at, h):
+    """d/dt f_at(t) at 0: central differences at steps h and h/2 with one
+    Richardson level, from one call f_at([h, -h, h/2, -h/2])."""
+    steps = np.array([h, -h, h / 2.0, -h / 2.0])
+    v = np.broadcast_to(f_at(steps), steps.shape)
+    return _checked(_richardson((v[0] - v[1]) / (2.0 * h), (v[2] - v[3]) / h))
+
+
 def fd_R(space, f, z, zp, X, h=None):
     """Central-difference R_X f(z, z') along the chart path through z'.
 
     One Richardson level (steps h and h/2); h defaults to
-    1e-5 * max(1, |z'|).
+    1e-5 * max(1, |z'|).  f broadcasts like ``space.kernel``: the whole
+    stencil is one call on stacked right labels.  A constant f is fine.
     """
     if h is None:
         h = 1e-5 * _point_scale(zp)
-
-    def d(step):
-        return (f(z, space.chart_path(zp, X, step))
-                - f(z, space.chart_path(zp, X, -step))) / (2.0 * step)
-
-    out = _richardson(d(h), d(h / 2.0))
-    if not np.all(np.isfinite([out.real, out.imag])):
-        raise AxiomViolationError("non-finite finite difference")
-    return out
+    return _first_difference(lambda t: f(z, space.chart_path(zp, X, t)), h)
 
 
 def fd_L(space, f, z, zp, X, h=None):
-    """Central-difference L_X f(z, z') along the chart path through z."""
+    """Central-difference L_X f(z, z') along the chart path through z.
+
+    Same steps and broadcasting contract as fd_R, on stacked left labels.
+    """
     if h is None:
         h = 1e-5 * _point_scale(z)
-
-    def d(step):
-        return (f(space.chart_path(z, X, step), zp)
-                - f(space.chart_path(z, X, -step), zp)) / (2.0 * step)
-
-    out = _richardson(d(h), d(h / 2.0))
-    if not np.all(np.isfinite([out.real, out.imag])):
-        raise AxiomViolationError("non-finite finite difference")
-    return out
+    return _first_difference(lambda t: f(space.chart_path(z, X, t), zp), h)
 
 
 def fd_LR(space, z, X, Y, f=None, h=None):
     """Mixed second difference L_X R_Y f evaluated at (z, z).
 
-    Four-point stencil with one Richardson level.  Defaults to the kernel.
-    h defaults to 1e-3 * max(1, |z|): the stencil divides roundoff by h^2,
-    and after the Richardson level the truncation error is O(h^4), so the
-    first-derivative step 1e-5 would leave ~1e-6 relative noise.
+    Four-point stencil with one Richardson level, evaluated as one call of
+    f on eight stacked label pairs; f defaults to the kernel and broadcasts
+    like it (a constant f is fine).  h defaults to 1e-3 * max(1, |z|): the
+    stencil divides roundoff by h^2, and after the Richardson level the
+    truncation error is O(h^4), so the first-derivative step 1e-5 would
+    leave ~1e-6 relative noise.
     """
     if f is None:
         f = space.kernel
     if h is None:
         h = 1e-3 * _point_scale(z)
-
-    def d(step):
-        fa = f(space.chart_path(z, X, step), space.chart_path(z, Y, step))
-        fb = f(space.chart_path(z, X, step), space.chart_path(z, Y, -step))
-        fc = f(space.chart_path(z, X, -step), space.chart_path(z, Y, step))
-        fd_ = f(space.chart_path(z, X, -step), space.chart_path(z, Y, -step))
-        return (fa - fb - fc + fd_) / (4.0 * step * step)
-
-    out = _richardson(d(h), d(h / 2.0))
-    if not np.all(np.isfinite([out.real, out.imag])):
-        raise AxiomViolationError("non-finite finite difference")
-    return out
+    hs = np.array([[h], [h / 2.0]])
+    sx = hs * np.array([1.0, 1.0, -1.0, -1.0])
+    sy = hs * np.array([1.0, -1.0, 1.0, -1.0])
+    v = np.broadcast_to(f(space.chart_path(z, X, sx), space.chart_path(z, Y, sy)),
+                        sx.shape)
+    d = (v[:, 0] - v[:, 1] - v[:, 2] + v[:, 3]) / (4.0 * hs[:, 0] * hs[:, 0])
+    return _checked(_richardson(d[0], d[1]))
 
 
 def _fd_theta(space, z, X):
@@ -751,9 +732,11 @@ class GeometryReport:
 
 def geometry_report(space, z, X, Y):
     """Compare closed-form g, theta, omega against the FD oracle at (z, X, Y)."""
-    g_fd = (fd_LR(space, z, X, Y) + fd_LR(space, z, Y, X)) / 2.0
+    lr_xy = fd_LR(space, z, X, Y)
+    lr_yx = fd_LR(space, z, Y, X)
+    g_fd = (lr_xy + lr_yx) / 2.0
     th_fd = _fd_theta(space, z, X)
-    om_fd = fd_LR(space, z, X, Y) - fd_LR(space, z, Y, X)
+    om_fd = lr_xy - lr_yx
     if _closed_available(space, z):
         prov = "closed"
         g_cl = metric_g(space, z, X, Y, method="closed")
@@ -784,7 +767,7 @@ def infinitesimal_cs_margin(space, z, X, method="auto"):
     else:
         lr = complex(space.mixed_form(z, X, X)).real
         th = complex(space.theta_form(z, X))
-    k = complex(space.kernel(z, z)).real
+    k = space.kernel(z, z).real
     return k * lr - abs(th) ** 2
 
 
@@ -800,7 +783,7 @@ def wtg_matrix(space, z, X, method="auto"):
     else:
         th = complex(space.theta_form(z, X))
         lr = complex(space.mixed_form(z, X, X))
-    k = complex(space.kernel(z, z))
+    k = space.kernel(z, z)
     return np.array([[k, th], [np.conj(th), lr]], dtype=complex)
 
 
@@ -834,31 +817,25 @@ def potential_inequality_check(space, z, X, h=None):
 
     def pot(a, b):
         k = space.kernel(a, b)
-        if abs(k) < 1e-300:
+        if np.any(np.abs(k) < 1e-300):
             raise ZeroDivisionError
-        return np.log(complex(k))
+        return np.log(k)
 
     try:
         lp = fd_L(space, pot, z, z, X, h=h)
         rp = fd_R(space, pot, z, z, X, h=h)
         lrp = fd_LR(space, z, X, X, f=pot, h=h)
 
-        def second(g, step):
-            return (g(step) - 2.0 * g(0.0) + g(-step)) / (step * step)
+        # second differences along the path, steps [h, 0, -h] then halved
+        w = space.chart_path(z, X, np.array([h, 0.0, -h, h / 2.0, 0.0, -h / 2.0]))
 
-        def rr(step):
-            return pot(z, space.chart_path(z, X, step))
+        def second(vals):
+            return _richardson((vals[0] - 2.0 * vals[1] + vals[2]) / (h * h),
+                               (vals[3] - 2.0 * vals[4] + vals[5]) / (h * h / 4.0))
 
-        def ll(step):
-            return pot(space.chart_path(z, X, step), z)
-
-        def diag(step):
-            w = space.chart_path(z, X, step)
-            return pot(w, w)
-
-        r2 = _richardson(second(rr, h), second(rr, h / 2.0))
-        l2 = _richardson(second(ll, h), second(ll, h / 2.0))
-        both2 = _richardson(second(diag, h), second(diag, h / 2.0))
+        r2 = second(pot(z, w))
+        l2 = second(pot(w, z))
+        both2 = second(pot(w, w))
     except ZeroDivisionError:
         nan = float("nan")
         return PotentialReport(nan, nan, nan, nan, nan, skipped=True)

@@ -4,7 +4,9 @@
 config, prints a check-by-check summary, and writes CSV data files plus
 ``report.json`` into the output directory.  ``cohk list`` prints the
 experiment table.  Exit codes: 0 every check passed, 1 a check failed,
-2 the config was rejected.
+2 the config was rejected, including labels whose kernel values are not
+finite (for example klauder labels large enough to overflow exp); the
+message then names the space and the point pair.
 
 The config is a single JSON object::
 
@@ -46,7 +48,7 @@ from .catalog import (
     make_space,
     wtg_matrix,
 )
-from .core import DEFAULT_SEED, DomainError, gram, psd_check
+from .core import DEFAULT_SEED, AxiomViolationError, DomainError, gram, psd_check
 from .dynamics import HamiltonianSpec, autocorrelation, df_action, el_integrate, propagate_ode
 from .fock import (
     OscGenerator,
@@ -450,7 +452,7 @@ def _run_geometry_check(ctx):
     def one(case):
         z, X, Y = case
         rep = geometry_report(ctx.space, z, X, Y)
-        scale = max(1.0, abs(complex(ctx.space.kernel(z, z))) ** 2)
+        scale = max(1.0, abs(ctx.space.kernel(z, z)) ** 2)
         margin = infinitesimal_cs_margin(ctx.space, z, X) / scale
         wtg = psd_check(wtg_matrix(ctx.space, z, X), tol_rel=1e-7, tol_abs=1e-8)
         return rep, margin, wtg
@@ -541,19 +543,20 @@ def _run_ccr_check(ctx):
     return checks
 
 
+def _complex_rows(times, values):
+    """Rows [t, re0, im0, re1, im1, ...] of complex samples, one per time, as
+    lists of Python floats (which _fmt formats fastest)."""
+    values = np.ascontiguousarray(values, dtype=complex).reshape(len(times), -1)
+    return np.column_stack([times, values.view(float)]).tolist()
+
+
 def _traj_csv(ctx, name, traj):
     coords = np.stack([np.atleast_1d(np.asarray(pt, dtype=complex))
                        for pt in traj.points])
     header = ["t"]
     for j in range(coords.shape[1]):
         header += [f"re{j}", f"im{j}"]
-    rows = []
-    for i, t in enumerate(traj.times):
-        row = [t]
-        for j in range(coords.shape[1]):
-            row += [coords[i, j].real, coords[i, j].imag]
-        rows.append(row)
-    _write_csv(ctx.outdir, name, header, rows, ctx.files)
+    _write_csv(ctx.outdir, name, header, _complex_rows(traj.times, coords), ctx.files)
 
 
 def _run_dynamics(ctx):
@@ -572,8 +575,8 @@ def _run_dynamics(ctx):
     traj = propagate_ode(ctx.space, ham, z0, t_end, dt)
     _traj_csv(ctx, "trajectory.csv", traj)
     series = autocorrelation(ctx.space, z0, traj)
-    rows = [(t, v.real, v.imag) for t, v in zip(series.times, series.values)]
-    _write_csv(ctx.outdir, "autocorr.csv", ["t", "re", "im"], rows, ctx.files)
+    _write_csv(ctx.outdir, "autocorr.csv", ["t", "re", "im"],
+               _complex_rows(series.times, series.values), ctx.files)
 
     exact = _flow_points(gen, z0, len(traj.points) - 1, dt, ham.hbar)
     err = float(np.max(np.abs(np.stack(traj.points) - exact)))
@@ -586,7 +589,8 @@ def _run_dynamics(ctx):
         and np.allclose(gen.X, adj.X, atol=1e-12)
     )
     if self_adjoint:
-        norms = np.array([complex(ctx.space.kernel(pt, pt)).real for pt in traj.points])
+        pts = np.stack(traj.points)
+        norms = ctx.space.kernel(pts, pts).real
         drift = float(np.max(np.abs(norms - norms[0])) / norms[0])
         checks.append(_check_le("norm_drift_rel", drift, norm_tol))
     return checks
@@ -629,7 +633,7 @@ def _run_spectrum(ctx):
         # grid covers the support; off the diagonal the scan only reports
         # magnitudes, so the comparison is not meaningful there
         ksum = sum(l.weight for l in lines)
-        kref = complex(ctx.space.kernel(z, zp)).real
+        kref = ctx.space.kernel(z, zp).real
         checks.append(_check_le("weight_sum_vs_kernel",
                                 abs(ksum - kref) / max(1.0, abs(kref)), comp_tol))
         checks.append(_check_ge("density_min", float(np.min(dens)), -1e-6))
@@ -657,7 +661,7 @@ def _run_resolvent(ctx):
                [(E.real, E.imag, g.real, g.imag)], ctx.files)
     eq = resolvent_equation_residual(ctx.space, ham, z, zp, E, t_max=t_max, dt=dt)
     sym = resolvent_symmetry_residual(ctx.space, ham, z, zp, E, t_max=t_max, dt=dt)
-    scale = max(1.0, abs(complex(ctx.space.kernel(z, zp))))
+    scale = max(1.0, abs(ctx.space.kernel(z, zp)))
     checks = [
         _check_le("resolvent_equation_residual", eq, eq_tol),
         _check_le("symmetry_residual_over_scale", sym / scale, sym_tol),
@@ -669,8 +673,7 @@ def _quadratic_energy(space):
     """H(z) = K(z,z) |zhat|^2, the matrix element of the number operator."""
 
     def H(z):
-        zhat = np.asarray(z, dtype=complex)[1:]
-        return complex(space.kernel(z, z)).real * float(np.vdot(zhat, zhat).real)
+        return space.kernel(z, z).real * np.vdot(z[1:], z[1:]).real
 
     return H
 
@@ -975,7 +978,7 @@ def run_config(config_path, out_flag=None, seed_flag=None):
     )
     try:
         checks = exp.runner(ctx)
-    except DomainError as err:
+    except (DomainError, AxiomViolationError) as err:
         raise ConfigError(f"params: {err}") from None
     report = RunReport(
         experiment=name,

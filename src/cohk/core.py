@@ -73,10 +73,12 @@ LOG_ZERO = _LogZeroType()
 class CoherentSpace:
     """Base class for point sets with a Hermitian PSD kernel.
 
-    Subclasses implement ``kernel`` (scalar) and usually override
-    ``kernel_batch`` with a vectorized version.  Points are plain Python or
-    numpy scalars for one-dimensional charts and numpy arrays otherwise;
-    tangent vectors share the point's shape.
+    Subclasses implement ``kernel`` as one numpy expression that
+    broadcasts over stacked leading axes of its two labels, so a Gram
+    matrix is ``kernel(P[:, None], P[None])``; a single pair gives a
+    complex scalar.  Points are plain Python or numpy scalars for
+    one-dimensional charts and numpy arrays otherwise; tangent vectors
+    share the point's shape.
 
     Attributes
     ----------
@@ -97,12 +99,8 @@ class CoherentSpace:
     # -- kernel -----------------------------------------------------------
 
     def kernel(self, z, zp):
+        """K(z, z'), broadcast over stacked leading axes of both labels."""
         raise NotImplementedError
-
-    def kernel_batch(self, Z, Zp):
-        """Kernel over stacked points; default is a scalar loop."""
-        n = len(Z)
-        return np.array([self.kernel(Z[i], Zp[i]) for i in range(n)], dtype=complex)
 
     # -- points -----------------------------------------------------------
 
@@ -118,17 +116,19 @@ class CoherentSpace:
         return True
 
     def stack(self, points):
-        """Stack validated points into one array for ``kernel_batch``."""
+        """Stack validated points into one array for ``kernel``."""
         return np.asarray([self.validate(z) for z in points])
 
     def chart_path(self, z, X, t):
         """Point at parameter ``t`` on the chart line through ``z`` along ``X``.
 
         Straight in coordinates; spaces with a constrained domain (the unit
-        sphere) re-project.  All finite differences route through this, so
-        first derivatives agree with the flow definition for any such path.
+        sphere) re-project.  An array of steps gives the points stacked
+        along leading axes of that shape.  All finite differences route
+        through this, so first derivatives agree with the flow definition
+        for any such path.
         """
-        return z + t * X
+        return z + np.multiply.outer(t, X)
 
     # -- sampling ----------------------------------------------------------
 
@@ -187,10 +187,8 @@ def kernel_eval(space, z, zp):
 def gram(space, points):
     """Gram matrix G[j, k] = K(points[j], points[k]) as a complex array."""
     pts = space.stack(points)
-    n = len(pts)
-    jj, kk = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
-    vals = space.kernel_batch(pts[jj.ravel()], pts[kk.ravel()])
-    g = np.asarray(vals, dtype=complex).reshape(n, n)
+    with np.errstate(over="ignore", invalid="ignore"):
+        g = np.asarray(space.kernel(pts[:, None], pts[None]), dtype=complex)
     if not np.all(np.isfinite(g)):
         bad = np.argwhere(~np.isfinite(g))[0]
         raise AxiomViolationError(
@@ -288,8 +286,10 @@ def nondegeneracy_probe(space, z, z2, witnesses):
     """
     if len(witnesses) < 1:
         raise DomainError("nondegeneracy probe needs at least one witness")
-    best = 0.0
-    for w in witnesses:
-        d = abs(kernel_eval(space, z2, w) - kernel_eval(space, z, w))
-        best = max(best, d)
-    return best
+    Z = space.stack([z, z2])
+    k = space.kernel(Z[:, None], space.stack(witnesses)[None])
+    if not np.all(np.isfinite(k)):
+        raise AxiomViolationError(
+            f"kernel of {space.space_id} not finite at a witness"
+        )
+    return float(np.max(np.abs(k[1] - k[0])))

@@ -225,14 +225,10 @@ def propagate_ode(space, ham, z0, t_end, dt):
 def autocorrelation(space, z, traj):
     """K_t(z, z') sampled along a trajectory of z'."""
     Z = space.stack(traj.points)
-    zz = space.stack([z] * 1)[0]
-    if Z.ndim == 1:
-        vals = space.kernel_batch(np.full_like(Z, zz), Z)
-    else:
-        vals = space.kernel_batch(np.broadcast_to(zz, Z.shape), Z)
+    zz = space.stack([z])[0]
+    vals = np.asarray(space.kernel(zz, Z), dtype=complex)
     dt = float(traj.times[1] - traj.times[0]) if len(traj) > 1 else 0.0
-    return AutocorrSeries(float(traj.times[0]), dt, np.asarray(vals, dtype=complex),
-                          space.space_id, z=zz, zp=space.stack(traj.points[:1])[0])
+    return AutocorrSeries(float(traj.times[0]), dt, vals, space.space_id, z=zz, zp=Z[0])
 
 
 # ---------------------------------------------------------------------------

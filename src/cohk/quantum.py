@@ -79,18 +79,17 @@ def inner(phi, psi):
     d = np.array([t[0] for t in psi.terms])
     Z = phi.space.stack([t[1] for t in phi.terms])
     W = psi.space.stack([t[1] for t in psi.terms])
-    if Z.ndim == 1:
-        K = phi.space.kernel_batch(Z[:, None], W[None, :])
-    else:
-        K = phi.space.kernel_batch(Z[:, None, :], W[None, :, :])
-    return complex(np.conj(c) @ K @ d)
+    return complex(np.conj(c) @ phi.space.kernel(Z[:, None], W[None]) @ d)
 
 
 def norm(psi):
     """sqrt(Re <psi|psi>); a radicand below -1e-10*scale is a PSD violation."""
     v = inner(psi, psi).real
-    scale = max(1.0, *(abs(c) ** 2 * abs(psi.space.kernel(z, z)) for c, z in psi.terms)) \
-        if psi.terms else 1.0
+    scale = 1.0
+    if psi.terms:
+        c = np.array([t[0] for t in psi.terms])
+        Z = psi.space.stack([t[1] for t in psi.terms])
+        scale = max(scale, float(np.max(np.abs(c) ** 2 * np.abs(psi.space.kernel(Z, Z)))))
     if v < -1e-10 * scale:
         raise AxiomViolationError(f"negative squared norm {v}")
     return float(np.sqrt(max(v, 0.0)))
@@ -115,12 +114,13 @@ def adjoint_residual(space, A, samples):
     """max |K(z, Az') - K(A*z, z')| over sample pairs (z, z')."""
     if A.adjoint is None:
         raise DomainError("map has no adjoint to verify")
-    worst = 0.0
-    for z, zp in samples:
-        lhs = space.kernel(z, A.forward(zp))
-        rhs = space.kernel(A.adjoint(z), zp)
-        worst = max(worst, abs(lhs - rhs))
-    return worst
+    pairs = list(samples)
+    if not pairs:
+        return 0.0
+    left = np.asarray([[z for z, _ in pairs], [A.adjoint(z) for z, _ in pairs]])
+    right = np.asarray([[A.forward(zp) for _, zp in pairs], [zp for _, zp in pairs]])
+    k = space.kernel(left, right)
+    return float(np.max(np.abs(k[0] - k[1])))
 
 
 @dataclass

@@ -143,8 +143,7 @@ def eigencomponent_overlap(space, zp, traj, E, T, hbar=1.0):
     n = int(round(T / dt))
     if n > len(traj.points) - 1 or n < 1:
         raise DomainError("trajectory does not cover [0, T]")
-    pts = traj.points[: n + 1]
-    vals = np.array([space.kernel(zp, p) for p in pts])
+    vals = space.kernel(zp, np.asarray(traj.points[: n + 1]))
     t = dt * np.arange(n + 1)
     integrand = np.exp((1j / hbar) * E * t) * vals
     return complex(np.trapezoid(integrand, dx=dt) / T)

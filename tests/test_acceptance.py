@@ -102,13 +102,13 @@ def test_criterion_02_axiom_suite():
         A = np.asarray(space.sample_points(rng, n))
         B = np.asarray(space.sample_points(rng, n))
         C = np.asarray(space.sample_points(rng, n))
-        k_ab = np.asarray(space.kernel_batch(A, B))
-        k_ba = np.asarray(space.kernel_batch(B, A))
-        k_bc = np.asarray(space.kernel_batch(B, C))
-        k_ac = np.asarray(space.kernel_batch(A, C))
-        k_aa = np.asarray(space.kernel_batch(A, A)).real
-        k_bb = np.asarray(space.kernel_batch(B, B)).real
-        k_cc = np.asarray(space.kernel_batch(C, C)).real
+        k_ab = np.asarray(space.kernel(A, B))
+        k_ba = np.asarray(space.kernel(B, A))
+        k_bc = np.asarray(space.kernel(B, C))
+        k_ac = np.asarray(space.kernel(A, C))
+        k_aa = np.asarray(space.kernel(A, A)).real
+        k_bb = np.asarray(space.kernel(B, B)).real
+        k_cc = np.asarray(space.kernel(C, C)).real
         scale = max(1.0, k_aa.max(), k_bb.max(), k_cc.max())
         tol = 1e-10 * scale
 

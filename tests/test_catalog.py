@@ -132,6 +132,113 @@ def test_fd_lr_examples(rng):
     assert fd_LR(sz, 0.0, 1.0, 1.0) == pytest.approx(1.0, rel=1e-5)
 
 
+# ---- one broadcasting kernel per space ----
+
+
+def test_kernel_stack_matches_single_pairs(space, rng):
+    Z = space.sample_points(rng, 12)
+    W = space.sample_points(rng, 12)
+    Z = Z.reshape((3, 4) + Z.shape[1:])
+    W = W.reshape((3, 4) + W.shape[1:])
+    K = space.kernel(Z, W)
+    assert K.shape == (3, 4) and K.dtype == complex
+    for i in range(3):
+        for j in range(4):
+            one = space.kernel(Z[i, j], W[i, j])
+            assert isinstance(one, complex)
+            assert one == K[i, j]  # bit for bit
+
+
+def test_kernel_broadcasts_one_label_against_a_stack(space, rng):
+    z = space.sample_point(rng)
+    W = space.sample_points(rng, 5)
+    right = space.kernel(z, W)
+    left = space.kernel(W, z)
+    assert right.shape == left.shape == (5,)
+    for k in range(5):
+        assert right[k] == space.kernel(z, W[k])
+        assert left[k] == space.kernel(W[k], z)
+
+
+def test_gram_is_one_broadcast_kernel_call(space, rng):
+    P = space.sample_points(rng, 6)
+    g = gram(space, P)
+    for j in range(6):
+        for k in range(6):
+            assert g[j, k] == space.kernel(P[j], P[k])
+
+
+def test_debranges_stack_mixes_diagonal_and_far_pairs():
+    sp = make_space("debranges", preset="damped-linear")
+    x = 0.8
+    # |conj(z) - z'| < 1e-8 takes the Taylor limit, the rest the quotient
+    Z = np.array([x, x, 0.3 + 0.2j, x + 0j, -0.4 - 0.1j])
+    W = np.array([x + 3e-9, x, -0.7 + 0.5j, x, 0.2 + 0.3j])
+    K = sp.kernel(Z, W)
+    assert K[1] == pytest.approx(2.0 + x * x, rel=1e-10)
+    assert K[3] == K[1]
+    assert K[0] == pytest.approx(K[1], rel=1e-6)
+    for k in range(len(Z)):
+        assert K[k] == sp.kernel(Z[k], W[k])
+    assert np.all(np.isfinite(K))
+
+
+def test_chart_path_over_a_step_array(space, rng):
+    z = space.sample_point(rng)
+    X = space.sample_tangent(z, rng)
+    steps = np.array([[1e-3, -1e-3, 0.0], [0.25, -0.5, 2e-6]])
+    W = space.chart_path(z, X, steps)
+    assert np.shape(W) == steps.shape + np.shape(z)
+    for idx in np.ndindex(steps.shape):
+        assert np.array_equal(W[idx], space.chart_path(z, X, steps[idx]))
+
+
+def test_sphere_chart_path_stays_on_the_sphere(rng):
+    sp = make_space("sphere", dim=3)
+    z = sp.sample_point(rng)
+    X = sp.sample_tangent(z, rng)
+    W = sp.chart_path(z, X, np.linspace(-2.0, 2.0, 41))
+    assert np.allclose(np.linalg.norm(W, axis=-1), 1.0, rtol=0, atol=1e-14)
+    for w in W:
+        sp.validate(w)
+
+
+def test_fd_with_a_broadcasting_non_kernel_function():
+    # f(a, b) = a^2 b^3 + sin(a) b on a real chart; derivatives by hand
+    sp = make_space("reciprocal")
+
+    def f(a, b):
+        return a * a * b ** 3 + np.sin(a) * b
+
+    z, zp = 0.7, 1.3
+    want_l = 2 * z * zp ** 3 + np.cos(z) * zp
+    want_r = 3 * z * z * zp ** 2 + np.sin(z)
+    assert fd_L(sp, f, z, zp, 1.0) == pytest.approx(want_l, rel=1e-9)
+    assert fd_R(sp, f, z, zp, 1.0) == pytest.approx(want_r, rel=1e-9)
+    # fd_LR differentiates at (z, z): L_X R_Y f = X Y d2f/da db
+    assert fd_LR(sp, z, 1.0, 1.0, f=f) == pytest.approx(6 * z * z ** 2 + np.cos(z), rel=1e-9)
+    assert fd_LR(sp, z, 2.0, -0.5, f=f) == pytest.approx(-(6 * z ** 3 + np.cos(z)), rel=1e-9)
+
+
+def test_fd_with_a_broadcasting_function_on_vectors():
+    # f(a, b) = sum(conj(a) * b)^2 on C^2: R_X f = 2 (a* b)(a* X),
+    # L_X f = 2 (a* b)(X* b), L_X R_Y f at (z, z) = 2 ((X* z)(z* Y) + |z|^2 X* Y)
+    sp = make_space("hermitian", dim=2)
+
+    def f(a, b):
+        return np.vecdot(a, b) ** 2
+
+    z = np.array([0.3 + 0.4j, -0.2 + 0.1j])
+    zp = np.array([0.5 - 0.1j, 0.2 + 0.6j])
+    X = np.array([1.0 - 0.5j, 0.25 + 0.75j])
+    Y = np.array([-0.4 + 0.2j, 0.6 - 0.3j])
+    ab = np.vdot(z, zp)
+    assert fd_R(sp, f, z, zp, X) == pytest.approx(2 * ab * np.vdot(z, X), rel=1e-9)
+    assert fd_L(sp, f, z, zp, X) == pytest.approx(2 * ab * np.vdot(X, zp), rel=1e-9)
+    want = 2 * (np.vdot(X, z) * np.vdot(z, Y) + np.vdot(z, z) * np.vdot(X, Y))
+    assert fd_LR(sp, z, X, Y, f=f) == pytest.approx(want, rel=1e-8)
+
+
 def test_theta_euclidean_example():
     sp = make_space("euclidean", dim=2)
     got = one_form_theta(sp, np.array([1.0, 2.0]), np.array([3.0, 4.0]))

@@ -177,6 +177,22 @@ def test_python_dash_m_exit_codes(tmp_path):
         assert "Traceback" not in proc.stderr
 
 
+def test_kernel_overflow_exits_two_naming_space_and_pair(tmp_path):
+    # exp(800) overflows the klauder kernel: a rejected config, not a
+    # traceback (exit 1 would claim a failed check)
+    src = str(Path(cohk.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    path = _write_config(tmp_path, _base(params={"points": [[0, 0], [800, 0]]}))
+    proc = subprocess.run(
+        [sys.executable, "-m", "cohk", "run", path, "--out", str(tmp_path / "out")],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert "config error" in proc.stderr
+    assert "klauder(1)" in proc.stderr and "point pair (0, 1)" in proc.stderr
+
+
 def test_list_exits_zero_and_names_all_experiments(capsys):
     assert main(["list"]) == 0
     out = capsys.readouterr().out

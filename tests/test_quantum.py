@@ -77,10 +77,7 @@ class _IndefiniteLine(CoherentSpace):
     complex_chart = False
 
     def kernel(self, z, zp):
-        return z * zp - 2.0
-
-    def kernel_batch(self, Z, Zp):
-        return np.asarray(Z) * np.asarray(Zp) - 2.0
+        return np.asarray(z) * np.asarray(zp) - 2.0
 
     def validate(self, z):
         return float(z)
