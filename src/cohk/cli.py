@@ -5,8 +5,10 @@ config, prints a check-by-check summary, and writes CSV data files plus
 ``report.json`` into the output directory.  ``cohk list`` prints the
 experiment table.  Exit codes: 0 every check passed, 1 a check failed,
 2 the config was rejected, including labels whose kernel values are not
-finite (for example klauder labels large enough to overflow exp); the
-message then names the space and the point pair.
+finite (for example klauder labels large enough to overflow exp; the
+message then names the space and the point pair), labels at which the
+coherent 2-form is degenerate, trajectories that leave the domain, and
+series, trajectories, grids or counts too short or too long to run.
 
 The config is a single JSON object::
 
@@ -24,10 +26,9 @@ instead of silently running a default.
 Reports are deterministic: the same config, seed, and library version
 reproduce every output file byte for byte.  Wall time is printed to
 stdout but kept out of report.json for exactly that reason.  The seed
-defaults to 0xC0FFEE and is echoed in the report; COHK_THREADS caps the
-worker threads used for independent sweep points (the fan-out never
-changes results, only speed, because all random draws happen up front on
-the main thread).
+defaults to 0xC0FFEE and is echoed in the report.  Experiments run
+serially; COHK_THREADS is still validated, and a value that is not a
+positive integer rejects the config.
 """
 
 import argparse
@@ -36,8 +37,7 @@ import math
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -48,7 +48,15 @@ from .catalog import (
     make_space,
     wtg_matrix,
 )
-from .core import DEFAULT_SEED, AxiomViolationError, DomainError, gram, psd_check
+from .core import (
+    DEFAULT_SEED,
+    MAX_SIZE,
+    AxiomViolationError,
+    DegenerateFormError,
+    DomainError,
+    gram,
+    psd_check,
+)
 from .dynamics import HamiltonianSpec, autocorrelation, df_action, el_integrate, propagate_ode
 from .fock import (
     OscGenerator,
@@ -101,6 +109,13 @@ def _as_int(v, path):
     if isinstance(v, bool) or not isinstance(v, int):
         raise ConfigError(f"{path}: expected an integer")
     return v
+
+
+def _as_count(v, path):
+    n = _as_int(v, path)
+    if not 1 <= n <= MAX_SIZE:
+        raise ConfigError(f"{path}: expected a count from 1 to {MAX_SIZE}")
+    return n
 
 
 def _as_bool(v, path):
@@ -202,11 +217,9 @@ def _parse_point(space, kind, v, path):
         raise ConfigError(f"{path}: {err}") from None
 
 
-def _parse_generator(params, dim, path="params"):
+def _parse_generator(gd, omega, dim, path="params"):
     """params.gen as {rho, p, q, X}, or a harmonic generator from omega0."""
-    gd = params.get("gen")
     if gd is None:
-        omega = _as_float(params["omega0"], f"{path}.omega0")
         return OscGenerator(0.0, np.zeros(dim), np.zeros(dim), omega * np.eye(dim))
     if not isinstance(gd, dict):
         raise ConfigError(f"{path}.gen: expected an object with rho/p/q/X")
@@ -226,20 +239,6 @@ def _parse_generator(params, dim, path="params"):
 def _default_label(dim):
     # the label used throughout the docs: z0 = -1/2 keeps K(z,z) = 1 at dim 1
     return np.array([-0.5] + [1.0] * dim, dtype=complex)
-
-
-def _parse_label(space, params, name, dim, default=None):
-    v = params.get(name)
-    if v is None:
-        return space.validate(default if default is not None else _default_label(dim))
-    return _parse_point(space, "klauder", v, f"params.{name}")
-
-
-def _require_klauder(kind, experiment):
-    if kind != "klauder":
-        raise ConfigError(
-            f"space.kind: the {experiment} experiment runs on a klauder space"
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -274,7 +273,7 @@ class RunReport:
     checks: list
     passed: bool
     data_files: list
-    params: dict
+    params: dict  # config values over the table defaults, so plain JSON
     wall_time_s: float = 0.0
 
     def to_json(self):
@@ -284,34 +283,11 @@ class RunReport:
             "space": self.space,
             "seed": self.seed,
             "library_version": self.library_version,
-            "params": _jsonable(self.params),
-            "checks": [
-                {
-                    "name": c.name,
-                    "value": c.value,
-                    "tolerance": c.tolerance,
-                    "comparison": c.comparison,
-                    "passed": c.passed,
-                }
-                for c in self.checks
-            ],
+            "params": self.params,
+            "checks": [asdict(c) for c in self.checks],
             "passed": self.passed,
             "data_files": self.data_files,
         }
-
-
-def _jsonable(v):
-    if isinstance(v, dict):
-        return {k: _jsonable(x) for k, x in v.items()}
-    if isinstance(v, (list, tuple)):
-        return [_jsonable(x) for x in v]
-    if isinstance(v, np.ndarray):
-        return [_jsonable(x) for x in v.tolist()]
-    if isinstance(v, complex):
-        return [v.real, v.imag]
-    if isinstance(v, (np.floating, np.integer)):
-        return v.item()
-    return v
 
 
 def _fmt(v):
@@ -331,6 +307,8 @@ def _write_csv(outdir, name, header, rows, files):
 
 
 def _worker_count():
+    """Validate COHK_THREADS and return the worker count, which is 1:
+    experiments run serially, since batched kernels left threads no gain."""
     env = os.environ.get("COHK_THREADS", "").strip()
     if env:
         try:
@@ -339,19 +317,13 @@ def _worker_count():
             raise ConfigError("COHK_THREADS: expected an integer") from None
         if cap < 1:
             raise ConfigError("COHK_THREADS: must be at least 1")
-    else:
-        cap = 4
-    return max(1, min(cap, os.cpu_count() or 1))
+    return 1
 
 
 def _fan_out(fn, items):
-    """Ordered map over independent work items, threads capped by COHK_THREADS."""
-    items = list(items)
-    n = _worker_count()
-    if n == 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=n) as ex:
-        return list(ex.map(fn, items))
+    """Ordered map over independent work items (perfbench's tracer wraps
+    this by name to time the items)."""
+    return [fn(x) for x in items]
 
 
 # ---------------------------------------------------------------------------
@@ -360,9 +332,14 @@ def _fan_out(fn, items):
 
 @dataclass(frozen=True)
 class Param:
+    """One experiment parameter.  ``parse`` checks and converts its value
+    (None leaves structural values, such as points, generators and labels,
+    to the runner)."""
+
     name: str
     default: object
     doc: str
+    parse: object = None
 
 
 @dataclass(frozen=True)
@@ -371,51 +348,73 @@ class Experiment:
     description: str
     params: tuple
     runner: object = field(repr=False, default=None)
+    klauder: bool = False  # runs on a klauder space, after _klauder_preamble
 
 
 @dataclass
 class RunContext:
     space: object
     kind: str
-    params: dict
+    params: dict  # parsed values
     rng: np.random.Generator
     outdir: str
     files: list
+    dim: int = 0  # klauder mode count, drawn by _klauder_preamble
+
+    def label(self, name, default=None):
+        """params[name] as a validated klauder label; when omitted,
+        ``default``, or the documented label [-1/2, 1, ...] if that is None."""
+        v = self.params[name]
+        if v is not None:
+            return _parse_point(self.space, "klauder", v, f"params.{name}")
+        return self.space.validate(_default_label(self.dim) if default is None else default)
 
 
 def _resolve_params(exp, raw):
+    """The config's params over the defaults, as the report echoes them,
+    and the same values with every typed one parsed."""
     if raw is None:
         raw = {}
     if not isinstance(raw, dict):
         raise ConfigError("params: expected an object")
-    allowed = {p.name: p for p in exp.params}
+    allowed = {p.name for p in exp.params}
     for key in raw:
         if key not in allowed and key != "seed":
             raise ConfigError(f"params.{key}: unknown parameter for {exp.name}")
-    resolved = {p.name: p.default for p in exp.params}
-    resolved.update({k: v for k, v in raw.items() if k != "seed"})
-    return resolved
+    resolved = {p.name: raw.get(p.name, p.default) for p in exp.params}
+    parsed = {
+        p.name: p.parse(resolved[p.name], f"params.{p.name}") if p.parse else resolved[p.name]
+        for p in exp.params
+    }
+    return resolved, parsed
+
+
+def _klauder_preamble(ctx, exp):
+    """The space check, mode-count draw and generator parsing that every
+    klauder experiment starts with.  The draw must stay the first one from
+    the seeded stream, which every report depends on."""
+    if ctx.kind != "klauder":
+        raise ConfigError(f"space.kind: the {exp.name} experiment runs on a klauder space")
+    ctx.dim = ctx.space.sample_point(ctx.rng).shape[0] - 1
+    if "gen" in ctx.params:
+        ctx.params["gen"] = _parse_generator(ctx.params["gen"], ctx.params["omega0"], ctx.dim)
 
 
 def _run_gram_psd(ctx):
     p = ctx.params
-    samples = _as_int(p["samples"], "params.samples")
-    n_points = _as_int(p["n_points"], "params.n_points")
-    tol_rel = _as_float(p["tol_rel"], "params.tol_rel")
-    tol_abs = _as_float(p["tol_abs"], "params.tol_abs")
+    tol_rel, tol_abs = p["tol_rel"], p["tol_abs"]
     if p["points"] is not None:
         if not isinstance(p["points"], list) or len(p["points"]) < 2:
             raise ConfigError("params.points: expected at least two points")
         sets = [[_parse_point(ctx.space, ctx.kind, v, f"params.points[{i}]")
                  for i, v in enumerate(p["points"])]]
     else:
-        if samples < 1 or n_points < 2:
-            raise ConfigError("params.samples/params.n_points: need >= 1 sample of >= 2 points")
-        sets = [ctx.space.sample_points(ctx.rng, n_points) for _ in range(samples)]
+        if p["n_points"] < 2:
+            raise ConfigError("params.n_points: need at least two points")
+        sets = [ctx.space.sample_points(ctx.rng, p["n_points"]) for _ in range(p["samples"])]
 
     def one(pts):
-        g = gram(ctx.space, ctx.space.stack(pts))
-        return psd_check(g, tol_rel=tol_rel, tol_abs=tol_abs)
+        return psd_check(gram(ctx.space, pts), tol_rel=tol_rel, tol_abs=tol_abs)
 
     reports = _fan_out(one, sets)
     rows = [
@@ -437,13 +436,8 @@ def _run_gram_psd(ctx):
 
 def _run_geometry_check(ctx):
     p = ctx.params
-    cases = _as_int(p["cases"], "params.cases")
-    rel_tol = _as_float(p["rel_tol"], "params.rel_tol")
-    margin_tol = _as_float(p["margin_tol"], "params.margin_tol")
-    if cases < 1:
-        raise ConfigError("params.cases: need at least one case")
     draws = []
-    for _ in range(cases):
+    for _ in range(p["cases"]):
         z = ctx.space.sample_point(ctx.rng)
         X = ctx.space.sample_tangent(z, ctx.rng)
         Y = ctx.space.sample_tangent(z, ctx.rng)
@@ -469,8 +463,9 @@ def _run_geometry_check(ctx):
     closed_rels = [max(r.rel_discrepancies[:2]) for r, _, _ in results
                    if r.provenance == "closed"]
     checks = [
-        _check_le("closed_vs_fd_rel", max(closed_rels) if closed_rels else 0.0, rel_tol),
-        _check_ge("cs_margin_over_scale", min(m for _, m, _ in results), -margin_tol),
+        _check_le("closed_vs_fd_rel", max(closed_rels) if closed_rels else 0.0,
+                  p["rel_tol"]),
+        _check_ge("cs_margin_over_scale", min(m for _, m, _ in results), -p["margin_tol"]),
         Check("wtg_min_eigenvalue",
               min(w.min_eigenvalue for _, _, w in results), -1e-8, ">=",
               all(w.passed for _, _, w in results)),
@@ -479,15 +474,9 @@ def _run_geometry_check(ctx):
 
 
 def _run_weyl_check(ctx):
-    _require_klauder(ctx.kind, "weyl-check")
-    p = ctx.params
-    samples = _as_int(p["samples"], "params.samples")
-    tol = _as_float(p["tol"], "params.tol")
-    if samples < 1:
-        raise ConfigError("params.samples: need at least one sample")
-    dim = ctx.space.sample_point(ctx.rng).shape[0] - 1
+    p, dim = ctx.params, ctx.dim
     pairs = [(ctx.space.sample_point(ctx.rng), ctx.space.sample_point(ctx.rng))
-             for _ in range(samples)]
+             for _ in range(p["samples"])]
 
     def cvec():
         return ctx.rng.standard_normal(dim) + 1j * ctx.rng.standard_normal(dim)
@@ -508,27 +497,30 @@ def _run_weyl_check(ctx):
     _write_csv(ctx.outdir, "weyl_residuals.csv",
                ["identity", "residual", "scale"], rows, ctx.files)
     checks = [
-        _check_le("weyl_max_residual_over_scale", rep.max_residual / rep.scale, tol),
-        _check_le("normal_ordering_residual", colon, tol),
+        _check_le("weyl_max_residual_over_scale", rep.max_residual / rep.scale, p["tol"]),
+        _check_le("normal_ordering_residual", colon, p["tol"]),
     ]
     return checks
 
 
+_EPS_MIN = 1e-150  # smallest ccr-check step: its square is still a normal float
+
+
 def _run_ccr_check(ctx):
-    _require_klauder(ctx.kind, "ccr-check")
-    p = ctx.params
-    dim = ctx.space.sample_point(ctx.rng).shape[0] - 1
+    p, dim = ctx.params, ctx.dim
     pv = _as_complex_vector(p["p"], "params.p", dim) if p["p"] is not None else np.ones(dim)
     qv = _as_complex_vector(p["q"], "params.q", dim) if p["q"] is not None else np.ones(dim)
-    z = _parse_label(ctx.space, p, "z", dim, default=np.zeros(dim + 1))
-    zp = _parse_label(ctx.space, p, "zp", dim, default=np.zeros(dim + 1))
-    eps0 = _as_float(p["eps0"], "params.eps0")
-    levels = _as_int(p["levels"], "params.levels")
-    tol = _as_float(p["tol"], "params.tol")
+    origin = np.zeros(dim + 1)
+    z, zp = ctx.label("z", origin), ctx.label("zp", origin)
+    eps0, levels = p["eps0"], p["levels"]
     if not 0 < eps0 <= 1:
         raise ConfigError("params.eps0: expected a step in (0, 1]")
     if levels < 2:
         raise ConfigError("params.levels: need at least two halving levels")
+    if levels > 1 + math.log2(eps0 / _EPS_MIN):
+        # the quotients divide by eps^2, which underflows from here on
+        raise ConfigError(f"params.levels: {levels} levels halve eps0 = {eps0:g} "
+                          f"below {_EPS_MIN:g}, where eps^2 underflows")
     eps_list = [eps0 / 2 ** j for j in range(levels)]
     rep = ccr_epsilon_check(pv, qv, z, zp, eps_list)
     rows = [
@@ -539,7 +531,7 @@ def _run_ccr_check(ctx):
                ["eps", "delta_re", "delta_im", "quot_re", "quot_im"], rows, ctx.files)
     scale = max(1.0, abs(klauder_kernel(z, zp)))
     checks = [_check_le("ccr_product_residual_over_scale",
-                        rep.residual_product / scale, tol)]
+                        rep.residual_product / scale, p["tol"])]
     return checks
 
 
@@ -548,6 +540,24 @@ def _complex_rows(times, values):
     lists of Python floats (which _fmt formats fastest)."""
     values = np.ascontiguousarray(values, dtype=complex).reshape(len(times), -1)
     return np.column_stack([times, values.view(float)]).tolist()
+
+
+def _horizon(p):
+    """params t_end and dt, checked to give a trajectory at least one step long."""
+    t_end, dt = p["t_end"], p["dt"]
+    if t_end <= 0 or dt <= 0:
+        raise ConfigError("params.t_end/params.dt: must be positive")
+    if t_end / dt <= 0.5:
+        raise ConfigError(f"params.t_end: {t_end:g} is shorter than one step dt={dt:g}")
+    return t_end, dt
+
+
+def _whole(traj):
+    """``traj``, or a DomainError if it stopped where its label left the domain."""
+    if traj.meta["aborted"]:
+        raise DomainError(f"the trajectory left the domain at t={traj.times[-1]:g}: "
+                          f"{traj.meta['reason']}")
+    return traj
 
 
 def _traj_csv(ctx, name, traj):
@@ -560,19 +570,11 @@ def _traj_csv(ctx, name, traj):
 
 
 def _run_dynamics(ctx):
-    _require_klauder(ctx.kind, "dynamics")
     p = ctx.params
-    dim = ctx.space.sample_point(ctx.rng).shape[0] - 1
-    gen = _parse_generator(p, dim)
-    z0 = _parse_label(ctx.space, p, "z0", dim)
-    t_end = _as_float(p["t_end"], "params.t_end")
-    dt = _as_float(p["dt"], "params.dt")
-    err_tol = _as_float(p["err_tol"], "params.err_tol")
-    norm_tol = _as_float(p["norm_tol"], "params.norm_tol")
-    if t_end <= 0 or dt <= 0:
-        raise ConfigError("params.t_end/params.dt: must be positive")
+    gen, z0 = p["gen"], ctx.label("z0")
+    t_end, dt = _horizon(p)
     ham = HamiltonianSpec(gen=gen)
-    traj = propagate_ode(ctx.space, ham, z0, t_end, dt)
+    traj = _whole(propagate_ode(ctx.space, ham, z0, t_end, dt))
     _traj_csv(ctx, "trajectory.csv", traj)
     series = autocorrelation(ctx.space, z0, traj)
     _write_csv(ctx.outdir, "autocorr.csv", ["t", "re", "im"],
@@ -580,7 +582,7 @@ def _run_dynamics(ctx):
 
     exact = _flow_points(gen, z0, len(traj.points) - 1, dt, ham.hbar)
     err = float(np.max(np.abs(np.stack(traj.points) - exact)))
-    checks = [_check_le("max_coordinate_error", err, err_tol)]
+    checks = [_check_le("max_coordinate_error", err, p["err_tol"])]
 
     adj = gen.adjoint()
     self_adjoint = (
@@ -592,35 +594,27 @@ def _run_dynamics(ctx):
         pts = np.stack(traj.points)
         norms = ctx.space.kernel(pts, pts).real
         drift = float(np.max(np.abs(norms - norms[0])) / norms[0])
-        checks.append(_check_le("norm_drift_rel", drift, norm_tol))
+        checks.append(_check_le("norm_drift_rel", drift, p["norm_tol"]))
     return checks
 
 
 def _run_spectrum(ctx):
-    _require_klauder(ctx.kind, "spectrum")
     p = ctx.params
-    dim = ctx.space.sample_point(ctx.rng).shape[0] - 1
-    gen = _parse_generator(p, dim)
-    z = _parse_label(ctx.space, p, "z", dim)
-    zp = ctx.space.validate(z.copy()) if p["zp"] is None else _parse_label(
-        ctx.space, p, "zp", dim)
-    t_max = _as_float(p["t_max"], "params.t_max")
-    dt = _as_float(p["dt"], "params.dt")
-    e_min = _as_float(p["E_min"], "params.E_min")
-    e_max = _as_float(p["E_max"], "params.E_max")
-    e_step = _as_float(p["E_step"], "params.E_step")
-    floor = _as_float(p["floor"], "params.floor")
-    eta = _as_float(p["eta"], "params.eta")
-    comp_tol = _as_float(p["completeness_tol"], "params.completeness_tol")
+    gen, t_max, dt, eta = p["gen"], p["t_max"], p["dt"], p["eta"]
+    z = ctx.label("z")
+    zp = ctx.label("zp", z)
+    e_min, e_max, e_step = p["E_min"], p["E_max"], p["E_step"]
     if e_max <= e_min or e_step <= 0:
         raise ConfigError("params.E_min/E_max/E_step: expected an increasing grid")
+    if (e_max - e_min) / e_step > MAX_SIZE:
+        raise ConfigError(f"params.E_min/E_max/E_step: more than {MAX_SIZE} grid steps")
     if eta <= 0:
         raise ConfigError("params.eta: must be positive")
     grid = np.arange(e_min, e_max + e_step * 0.5, e_step)
     same_label = np.allclose(z, zp)
     series = oscillator_series(gen, z, zp, t_max, dt)
     swapped = None if same_label else oscillator_series(gen, zp, z, t_max, dt)
-    lines = spectrum_scan(series, grid, swapped=swapped, floor=floor)
+    lines = spectrum_scan(series, grid, swapped=swapped, floor=p["floor"])
     _write_csv(ctx.outdir, "lines.csv", ["E", "weight"],
                [(l.energy, l.weight) for l in lines], ctx.files)
     ham = HamiltonianSpec(gen=gen)
@@ -635,27 +629,20 @@ def _run_spectrum(ctx):
         ksum = sum(l.weight for l in lines)
         kref = ctx.space.kernel(z, zp).real
         checks.append(_check_le("weight_sum_vs_kernel",
-                                abs(ksum - kref) / max(1.0, abs(kref)), comp_tol))
+                                abs(ksum - kref) / max(1.0, abs(kref)),
+                                p["completeness_tol"]))
         checks.append(_check_ge("density_min", float(np.min(dens)), -1e-6))
     return checks
 
 
 def _run_resolvent(ctx):
-    _require_klauder(ctx.kind, "resolvent")
     p = ctx.params
-    dim = ctx.space.sample_point(ctx.rng).shape[0] - 1
-    gen = _parse_generator(p, dim)
-    z = _parse_label(ctx.space, p, "z", dim)
-    zp = ctx.space.validate(z.copy()) if p["zp"] is None else _parse_label(
-        ctx.space, p, "zp", dim)
-    E = _as_complex(p["E"], "params.E")
-    dt = _as_float(p["dt"], "params.dt")
-    t_max = _as_float(p["t_max"], "params.t_max")
-    eq_tol = _as_float(p["eq_tol"], "params.eq_tol")
-    sym_tol = _as_float(p["sym_tol"], "params.sym_tol")
+    E, dt, t_max = p["E"], p["dt"], p["t_max"]
+    z = ctx.label("z")
+    zp = ctx.label("zp", z)
     if E.imag <= 0:
         raise ConfigError("params.E: needs a positive imaginary part")
-    ham = HamiltonianSpec(gen=gen)
+    ham = HamiltonianSpec(gen=p["gen"])
     g = resolvent_element(ctx.space, ham, z, zp, E, t_max=t_max, dt=dt).value
     _write_csv(ctx.outdir, "resolvent.csv", ["E_re", "E_im", "G_re", "G_im"],
                [(E.real, E.imag, g.real, g.imag)], ctx.files)
@@ -663,8 +650,8 @@ def _run_resolvent(ctx):
     sym = resolvent_symmetry_residual(ctx.space, ham, z, zp, E, t_max=t_max, dt=dt)
     scale = max(1.0, abs(ctx.space.kernel(z, zp)))
     checks = [
-        _check_le("resolvent_equation_residual", eq, eq_tol),
-        _check_le("symmetry_residual_over_scale", sym / scale, sym_tol),
+        _check_le("resolvent_equation_residual", eq, p["eq_tol"]),
+        _check_le("symmetry_residual_over_scale", sym / scale, p["sym_tol"]),
     ]
     return checks
 
@@ -679,21 +666,13 @@ def _quadratic_energy(space):
 
 
 def _run_df_propagate(ctx):
-    _require_klauder(ctx.kind, "df-propagate")
     p = ctx.params
-    dim = ctx.space.sample_point(ctx.rng).shape[0] - 1
-    z0 = _parse_label(ctx.space, p, "z0", dim)
-    t_end = _as_float(p["t_end"], "params.t_end")
-    dt = _as_float(p["dt"], "params.dt")
-    angle_tol = _as_float(p["angle_tol"], "params.angle_tol")
-    exponent_tol = _as_float(p["exponent_tol"], "params.exponent_tol")
-    stationarity = _as_bool(p["stationarity"], "params.stationarity")
-    if t_end <= 0 or dt <= 0:
-        raise ConfigError("params.t_end/params.dt: must be positive")
+    z0 = ctx.label("z0")
+    t_end, dt = _horizon(p)
     if np.all(np.abs(np.asarray(z0)[1:]) < 1e-12):
         raise ConfigError("params.z0: the orbit angle needs a nonzero mode coordinate")
     ham = HamiltonianSpec(H=_quadratic_energy(ctx.space))
-    traj = el_integrate(ctx.space, ham, z0, t_end, dt)
+    traj = _whole(el_integrate(ctx.space, ham, z0, t_end, dt))
     _traj_csv(ctx, "trajectory.csv", traj)
     t_fin = float(traj.times[-1])
     got = np.asarray(traj.points[-1], dtype=complex)
@@ -706,17 +685,17 @@ def _run_df_propagate(ctx):
         d = np.angle(a) - np.angle(b)
         ang = max(ang, abs(math.atan2(math.sin(d), math.cos(d))))
     checks = [
-        _check_le("orbit_angle_error", ang, angle_tol),
+        _check_le("orbit_angle_error", ang, p["angle_tol"]),
         _check_le("mode_magnitude_drift",
                   float(np.max(np.abs(np.abs(got[1:]) - np.abs(want[1:])))), 1e-6),
     ]
-    if stationarity:
+    if p["stationarity"]:
         from .dynamics import Trajectory
 
-        base = el_integrate(ctx.space, ham, z0, 1.0, 5e-3)
+        base = _whole(el_integrate(ctx.space, ham, z0, 1.0, 5e-3))
         s0 = df_action(base, ham, ctx.space)
         n = len(base.points)
-        bump = np.array([0.3 + 0.2j] + [1.0 - 0.5j] * dim)
+        bump = np.array([0.3 + 0.2j] + [1.0 - 0.5j] * ctx.dim)
         amps = np.sin(np.pi * np.arange(n) / (n - 1))
 
         def action_at(epsv):
@@ -727,30 +706,22 @@ def _run_df_propagate(ctx):
         d2 = abs(action_at(0.04) - s0)
         expo = math.log2(d2 / d1)
         checks.append(_check_le("stationarity_exponent_gap",
-                                abs(expo - 2.0), exponent_tol))
+                                abs(expo - 2.0), p["exponent_tol"]))
     return checks
 
 
 def _run_sd_residual(ctx):
-    _require_klauder(ctx.kind, "sd-residual")
     p = ctx.params
-    dim = ctx.space.sample_point(ctx.rng).shape[0] - 1
-    gen = _parse_generator(p, dim)
-    samples = _as_int(p["samples"], "params.samples")
-    t_max = _as_float(p["t_max"], "params.t_max")
-    tol = _as_float(p["tol"], "params.tol")
-    E = _as_complex(p["E"], "params.E")
-    eq_tol = _as_float(p["eq_tol"], "params.eq_tol")
-    if samples < 1 or t_max <= 0:
-        raise ConfigError("params.samples/params.t_max: must be positive")
-    if E.imag <= 0:
+    if p["t_max"] <= 0:
+        raise ConfigError("params.t_max: must be positive")
+    if p["E"].imag <= 0:
         raise ConfigError("params.E: needs a positive imaginary part")
-    ham = HamiltonianSpec(gen=gen)
+    ham = HamiltonianSpec(gen=p["gen"])
     draws = []
-    for _ in range(samples):
+    for _ in range(p["samples"]):
         z = ctx.space.sample_point(ctx.rng)
         zp = ctx.space.sample_point(ctx.rng)
-        t = float(ctx.rng.uniform(0.0, t_max))
+        t = float(ctx.rng.uniform(0.0, p["t_max"]))
         draws.append((z, zp, t))
 
     def one(case):
@@ -761,11 +732,11 @@ def _run_sd_residual(ctx):
     rows = [(i, d[2], r) for i, (d, r) in enumerate(zip(draws, residuals))]
     _write_csv(ctx.outdir, "sd_residuals.csv", ["sample", "t", "residual"],
                rows, ctx.files)
-    zd = ctx.space.validate(_default_label(dim))
-    eq = resolvent_equation_residual(ctx.space, ham, zd, zd, E)
+    zd = ctx.space.validate(_default_label(ctx.dim))
+    eq = resolvent_equation_residual(ctx.space, ham, zd, zd, p["E"])
     checks = [
-        _check_le("sd_max_residual", max(residuals), tol),
-        _check_le("resolvent_equation_residual", eq, eq_tol),
+        _check_le("sd_max_residual", max(residuals), p["tol"]),
+        _check_le("resolvent_equation_residual", eq, p["eq_tol"]),
     ]
     return checks
 
@@ -778,10 +749,10 @@ EXPERIMENTS = {
             "Gram matrices of sampled (or given) point sets pass the PSD check.",
             (
                 Param("points", None, "explicit points; omit to sample"),
-                Param("samples", 10, "number of seeded point sets"),
-                Param("n_points", 20, "points per set"),
-                Param("tol_rel", 1e-10, "relative eigenvalue floor"),
-                Param("tol_abs", 1e-12, "absolute eigenvalue floor"),
+                Param("samples", 10, "number of seeded point sets", _as_count),
+                Param("n_points", 20, "points per set", _as_count),
+                Param("tol_rel", 1e-10, "relative eigenvalue floor", _as_float),
+                Param("tol_abs", 1e-12, "absolute eigenvalue floor", _as_float),
             ),
             _run_gram_psd,
         ),
@@ -790,9 +761,9 @@ EXPERIMENTS = {
             "Closed-form metric/1-form vs finite differences; infinitesimal "
             "Cauchy-Schwarz margins and 2x2 kernel-jet PSD.",
             (
-                Param("cases", 100, "seeded (z, X, Y) samples"),
-                Param("rel_tol", 1e-5, "closed-vs-FD relative tolerance"),
-                Param("margin_tol", 1e-8, "allowed negative margin over scale"),
+                Param("cases", 100, "seeded (z, X, Y) samples", _as_count),
+                Param("rel_tol", 1e-5, "closed-vs-FD relative tolerance", _as_float),
+                Param("margin_tol", 1e-8, "allowed negative margin over scale", _as_float),
             ),
             _run_geometry_check,
         ),
@@ -801,10 +772,11 @@ EXPERIMENTS = {
             "Weyl operator identities (exchange, composition, inverse, swap, "
             "group commutator) and the normal-ordering identity.",
             (
-                Param("samples", 100, "seeded (z, z') label pairs"),
-                Param("tol", 1e-12, "residual tolerance over scale"),
+                Param("samples", 100, "seeded (z, z') label pairs", _as_count),
+                Param("tol", 1e-12, "residual tolerance over scale", _as_float),
             ),
             _run_weyl_check,
+            klauder=True,
         ),
         Experiment(
             "ccr-check",
@@ -815,11 +787,12 @@ EXPERIMENTS = {
                 Param("q", None, "right exponent vector (default all ones)"),
                 Param("z", None, "left label (default origin)"),
                 Param("zp", None, "right label (default origin)"),
-                Param("eps0", 0.1, "largest epsilon"),
-                Param("levels", 6, "halvings of eps0"),
-                Param("tol", 1e-6, "slope tolerance over scale"),
+                Param("eps0", 0.1, "largest epsilon", _as_float),
+                Param("levels", 6, "halvings of eps0", _as_int),
+                Param("tol", 1e-6, "slope tolerance over scale", _as_float),
             ),
             _run_ccr_check,
+            klauder=True,
         ),
         Experiment(
             "dynamics",
@@ -827,14 +800,15 @@ EXPERIMENTS = {
             "generator; norm conservation when self-adjoint.",
             (
                 Param("gen", None, "generator {rho, p, q, X}"),
-                Param("omega0", 1.0, "harmonic frequency when gen is omitted"),
+                Param("omega0", 1.0, "harmonic frequency when gen is omitted", _as_float),
                 Param("z0", None, "initial label (default [-1/2, 1, ...])"),
-                Param("t_end", 10.0, "integration horizon"),
-                Param("dt", 1e-3, "RK4 step"),
-                Param("err_tol", 1e-8, "max coordinate error tolerance"),
-                Param("norm_tol", 1e-8, "relative norm drift tolerance"),
+                Param("t_end", 10.0, "integration horizon", _as_float),
+                Param("dt", 1e-3, "RK4 step", _as_float),
+                Param("err_tol", 1e-8, "max coordinate error tolerance", _as_float),
+                Param("norm_tol", 1e-8, "relative norm drift tolerance", _as_float),
             ),
             _run_dynamics,
+            klauder=True,
         ),
         Experiment(
             "spectrum",
@@ -842,19 +816,20 @@ EXPERIMENTS = {
             "autocorrelation series.",
             (
                 Param("gen", None, "generator {rho, p, q, X}"),
-                Param("omega0", 1.0, "harmonic frequency when gen is omitted"),
+                Param("omega0", 1.0, "harmonic frequency when gen is omitted", _as_float),
                 Param("z", None, "left label (default [-1/2, 1, ...])"),
                 Param("zp", None, "right label (default z)"),
-                Param("t_max", 400.0 * math.pi, "series horizon"),
-                Param("dt", 0.05, "series step"),
-                Param("E_min", -0.5, "energy grid start"),
-                Param("E_max", 6.5, "energy grid end"),
-                Param("E_step", 0.002, "energy grid spacing"),
-                Param("floor", 1e-4, "line detection floor (relative)"),
-                Param("eta", 0.05, "density broadening"),
-                Param("completeness_tol", 1e-3, "weight-sum vs kernel tolerance"),
+                Param("t_max", 400.0 * math.pi, "series horizon", _as_float),
+                Param("dt", 0.05, "series step", _as_float),
+                Param("E_min", -0.5, "energy grid start", _as_float),
+                Param("E_max", 6.5, "energy grid end", _as_float),
+                Param("E_step", 0.002, "energy grid spacing", _as_float),
+                Param("floor", 1e-4, "line detection floor (relative)", _as_float),
+                Param("eta", 0.05, "density broadening", _as_float),
+                Param("completeness_tol", 1e-3, "weight-sum vs kernel tolerance", _as_float),
             ),
             _run_spectrum,
+            klauder=True,
         ),
         Experiment(
             "resolvent",
@@ -862,16 +837,17 @@ EXPERIMENTS = {
             "resolvent-identity and symmetry residuals.",
             (
                 Param("gen", None, "generator {rho, p, q, X}"),
-                Param("omega0", 1.0, "harmonic frequency when gen is omitted"),
+                Param("omega0", 1.0, "harmonic frequency when gen is omitted", _as_float),
                 Param("z", None, "left label (default [-1/2, 1, ...])"),
                 Param("zp", None, "right label (default z)"),
-                Param("E", [0.5, 0.1], "complex energy [re, im], im > 0"),
-                Param("dt", 1e-2, "quadrature step"),
-                Param("t_max", 0.0, "horizon (0 = auto from Im E)"),
-                Param("eq_tol", 1e-4, "resolvent-identity residual tolerance"),
-                Param("sym_tol", 1e-10, "conjugate-symmetry tolerance over scale"),
+                Param("E", [0.5, 0.1], "complex energy [re, im], im > 0", _as_complex),
+                Param("dt", 1e-2, "quadrature step", _as_float),
+                Param("t_max", 0.0, "horizon (0 = auto from Im E)", _as_float),
+                Param("eq_tol", 1e-4, "resolvent-identity residual tolerance", _as_float),
+                Param("sym_tol", 1e-10, "conjugate-symmetry tolerance over scale", _as_float),
             ),
             _run_resolvent,
+            klauder=True,
         ),
         Experiment(
             "df-propagate",
@@ -879,13 +855,14 @@ EXPERIMENTS = {
             "the exact rotation plus an action-stationarity probe.",
             (
                 Param("z0", None, "initial label (default [-1/2, 1, ...])"),
-                Param("t_end", 10.0, "integration horizon"),
-                Param("dt", 1e-3, "RK4 step"),
-                Param("angle_tol", 1e-6, "orbit angle tolerance (radians)"),
-                Param("stationarity", True, "probe the action exponent"),
-                Param("exponent_tol", 0.1, "allowed deviation from exponent 2"),
+                Param("t_end", 10.0, "integration horizon", _as_float),
+                Param("dt", 1e-3, "RK4 step", _as_float),
+                Param("angle_tol", 1e-6, "orbit angle tolerance (radians)", _as_float),
+                Param("stationarity", True, "probe the action exponent", _as_bool),
+                Param("exponent_tol", 0.1, "allowed deviation from exponent 2", _as_float),
             ),
             _run_df_propagate,
+            klauder=True,
         ),
         Experiment(
             "sd-residual",
@@ -893,14 +870,15 @@ EXPERIMENTS = {
             "labels, plus one resolvent-identity spot check.",
             (
                 Param("gen", None, "generator {rho, p, q, X}"),
-                Param("omega0", 1.0, "harmonic frequency when gen is omitted"),
-                Param("samples", 20, "seeded (z, z', t) draws"),
-                Param("t_max", 2.0, "largest sampled time"),
-                Param("tol", 1e-6, "derivative residual tolerance"),
-                Param("E", [0.5, 0.1], "energy for the spot check"),
-                Param("eq_tol", 1e-4, "spot-check residual tolerance"),
+                Param("omega0", 1.0, "harmonic frequency when gen is omitted", _as_float),
+                Param("samples", 20, "seeded (z, z', t) draws", _as_count),
+                Param("t_max", 2.0, "largest sampled time", _as_float),
+                Param("tol", 1e-6, "derivative residual tolerance", _as_float),
+                Param("E", [0.5, 0.1], "energy for the spot check", _as_complex),
+                Param("eq_tol", 1e-4, "spot-check residual tolerance", _as_float),
             ),
             _run_sd_residual,
+            klauder=True,
         ),
     ]
 }
@@ -955,7 +933,7 @@ def run_config(config_path, out_flag=None, seed_flag=None):
         known = ", ".join(sorted(EXPERIMENTS))
         raise ConfigError(f"experiment: unknown experiment {name!r} (one of: {known})")
     exp = EXPERIMENTS[name]
-    params = _resolve_params(exp, raw.get("params"))
+    resolved, params = _resolve_params(exp, raw.get("params"))
     raw_params = raw.get("params") or {}
     if seed_flag is not None:
         seed = seed_flag
@@ -965,6 +943,7 @@ def run_config(config_path, out_flag=None, seed_flag=None):
         seed = DEFAULT_SEED
     if seed < 0:
         raise ConfigError("params.seed: must be nonnegative")
+    _worker_count()
     outdir = _resolve_output(raw, out_flag)
     os.makedirs(outdir, exist_ok=True)
 
@@ -976,9 +955,11 @@ def run_config(config_path, out_flag=None, seed_flag=None):
         outdir=outdir,
         files=[],
     )
+    if exp.klauder:
+        _klauder_preamble(ctx, exp)
     try:
         checks = exp.runner(ctx)
-    except (DomainError, AxiomViolationError) as err:
+    except (DomainError, AxiomViolationError, DegenerateFormError, MemoryError) as err:
         raise ConfigError(f"params: {err}") from None
     report = RunReport(
         experiment=name,
@@ -988,7 +969,7 @@ def run_config(config_path, out_flag=None, seed_flag=None):
         checks=checks,
         passed=all(c.passed for c in checks),
         data_files=list(ctx.files),
-        params=params,
+        params=resolved,
         wall_time_s=0.0,
     )
     payload = json.dumps(report.to_json(), indent=2, sort_keys=True) + "\n"

@@ -17,6 +17,7 @@ import numpy as np
 __all__ = [
     "DEFAULT_SEED",
     "LOG_ZERO",
+    "MAX_SIZE",
     "AxiomViolationError",
     "CoherentSpace",
     "DegenerateFormError",
@@ -35,6 +36,11 @@ __all__ = [
 
 #: Seed used by every reproducible sampling helper unless overridden.
 DEFAULT_SEED = 0xC0FFEE
+
+#: Largest step count, grid length or sample count one computation may ask
+#: for; more is a rejected input rather than a run that cannot finish or
+#: allocate.
+MAX_SIZE = 20_000_000
 
 
 class DomainError(ValueError):

@@ -22,7 +22,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .core import DegenerateFormError, DomainError
+from .core import MAX_SIZE, DegenerateFormError, DomainError
 from .catalog import fd_LR
 from .fock import gen_block, osc_act, osc_from_block
 
@@ -104,7 +104,8 @@ def flow_exact(gen, t, z, hbar=1.0, _depth=0):
     if np.all(np.isfinite(M.view(float))):
         return osc_act(osc_from_block(M), z)
     if _depth >= 40:
-        raise ArithmeticError("flow overflow persists after step splitting")
+        raise DomainError(f"the flow of this generator overflows at t={t * 2 ** _depth:g} "
+                          "even after step splitting")
     half = flow_exact(gen, t / 2.0, z, hbar, _depth + 1)
     return flow_exact(gen, t / 2.0, half, hbar, _depth + 1)
 
@@ -198,7 +199,11 @@ def propagate_ode(space, ham, z0, t_end, dt):
     else:
         f = _classical_field(space, ham)
 
-    n_steps = int(round(t_end / dt))
+    steps = t_end / dt  # may overflow to inf, so compared before rounding
+    if steps > MAX_SIZE + 0.5:
+        raise DomainError(f"{steps:.0f} steps for t_end={t_end:g}, dt={dt:g}; "
+                          f"the most allowed is {MAX_SIZE}")
+    n_steps = int(round(steps))
     z0 = space.validate(z0)
     arr, scalar = _coords(space, z0)
 

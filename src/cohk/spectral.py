@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DomainError
+from .core import MAX_SIZE, DomainError
 from .dynamics import AutocorrSeries, flow_exact
 from .fock import dgamma_element, gen_block, klauder_kernel
 
@@ -88,12 +88,16 @@ def oscillator_series(gen, z, zp, t_max, dt, hbar=1.0):
     """AutocorrSeries of K_t(z, z') on t = 0 .. t_max for H = dGamma(gen)."""
     if dt <= 0 or t_max <= 0:
         raise DomainError("need dt > 0 and t_max > 0")
-    n_steps = int(round(t_max / dt))
-    if n_steps > 20_000_000:
+    steps = t_max / dt  # may overflow to inf, so compared before rounding
+    if steps > MAX_SIZE + 0.5:
         raise DomainError(
-            f"{n_steps} steps for t_max={t_max:g}, dt={dt:g}; an energy this "
+            f"{steps:.0f} steps for t_max={t_max:g}, dt={dt:g}; an energy this "
             "close to the real axis needs the eta extrapolation instead"
         )
+    if steps <= 0.5:
+        # one sample spans no time, and the scans divide by the series length
+        raise DomainError(f"t_max={t_max:g} is shorter than one step dt={dt:g}")
+    n_steps = int(round(steps))
     pts = _flow_points(gen, zp, n_steps, dt, hbar)
     return AutocorrSeries(0.0, dt, klauder_kernel(z, pts), space_id=f"klauder({gen.n})",
                           z=np.asarray(z, dtype=complex),

@@ -159,6 +159,27 @@ def test_non_finite_values_exit_two(tmp_path, capsys, experiment, params, path):
     assert "config error" in err and re.search(path, err)
 
 
+@pytest.mark.parametrize("experiment,params,message", [
+    # one sample spans no time, so the scan has no window to divide by
+    ("spectrum", {"t_max": 0.01, "dt": 0.05}, r"t_max=0\.01 is shorter than one step"),
+    # eps0 / 2^(levels-1) squared underflows (600), and 2^j overflows a float (2000)
+    ("ccr-check", {"levels": 600}, r"params\.levels"),
+    ("ccr-check", {"levels": 2000}, r"params\.levels"),
+    # RK4 leaves the domain at the first step; checking the one point left passed
+    ("dynamics", {"gen": {"rho": 1e300, "p": [1e300], "q": [1e300], "X": [[1e300]]},
+                  "t_end": 0.2, "dt": 0.01}, r"trajectory left the domain at t=0"),
+    # zero steps left the start point alone to check, which passed
+    ("dynamics", {"t_end": 0.2, "dt": 1e300}, r"params\.t_end: 0\.2 is shorter than one step"),
+])
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_unrunnable_configs_exit_two(tmp_path, capsys, experiment, params, message):
+    cfg = _base(experiment, params=params)
+    code = main(["run", _write_config(tmp_path, cfg), "--out", str(tmp_path / "out")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and re.search(message, err)
+
+
 def test_python_dash_m_exit_codes(tmp_path):
     src = str(Path(cohk.__file__).resolve().parents[1])
     env = dict(os.environ)
