@@ -8,7 +8,9 @@ experiment table.  Exit codes: 0 every check passed, 1 a check failed,
 finite (for example klauder labels large enough to overflow exp; the
 message then names the space and the point pair), labels at which the
 coherent 2-form is degenerate, trajectories that leave the domain, and
-series, trajectories, grids or counts too short or too long to run.
+series, trajectories, grids or counts too short or too long to run.  NumPy's
+overflow, invalid-value and division warnings are silenced while an
+experiment runs, so a rejected config prints only its config error line.
 
 The config is a single JSON object::
 
@@ -298,11 +300,20 @@ def _fmt(v):
     return f"{float(v):.17g}"
 
 
+_FLOAT = {float}
+
+
 def _write_csv(outdir, name, header, rows, files):
+    """Write rows under header; a row made only of Python floats is formatted
+    with one %-template, which gives _fmt's text in one call."""
+    template = ",".join(["%.17g"] * len(header)) + "\n"
     with open(os.path.join(outdir, name), "w", newline="") as fh:
         fh.write(",".join(header) + "\n")
         for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+            if set(map(type, row)) == _FLOAT:
+                fh.write(template % tuple(row))
+            else:
+                fh.write(",".join(map(_fmt, row)) + "\n")
     files.append(name)
 
 
@@ -958,7 +969,10 @@ def run_config(config_path, out_flag=None, seed_flag=None):
     if exp.klauder:
         _klauder_preamble(ctx, exp)
     try:
-        checks = exp.runner(ctx)
+        # overflow and invalid values surface as named errors (non-finite
+        # labels, kernels, flows and forms are rejected), not as warnings
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            checks = exp.runner(ctx)
     except (DomainError, AxiomViolationError, DegenerateFormError, MemoryError) as err:
         raise ConfigError(f"params: {err}") from None
     report = RunReport(

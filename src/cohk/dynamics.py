@@ -1,15 +1,27 @@
 """Quantum dynamics as classical motion of coherent-state labels.
 
 Oscillator generators integrate exactly through the block-matrix
-exponential (flow_exact); arbitrary label fields integrate with fixed-step
-RK4 (propagate_ode).  The symplectic side realifies the complex chart:
-with M(X, Y) = L_X R_Y K(z, z) and real coordinates ordered
-[Re c0, Im c0, Re c1, ...], the real antisymmetric matrix
+exponential (flow_exact); label fields integrate with fixed-step RK4
+(propagate_ode), whose oscillator stages are each one product of the
+homogeneous label [z, 1] with the block generator.
 
-    A[a, b] = 2 Im M(E_a, E_b)
+Classical Hamiltonians follow the Euler-Lagrange equation of the coherent
+action in the complex chart.  With M(X, Y) = L_X R_Y K(z, z) = X* Hm Y for
+the Hermitian mixed matrix Hm(z), it reads
 
-represents the coherent 2-form, Hamiltonian fields solve
-x' = -(1/hbar) A^{-1} dH, and Poisson brackets are df^T A^{-1} dg / hbar.
+    i hbar Hm(z) z' = dH/dconj(z) = g,   g = (w[0::2] + i w[1::2]) / 2,
+
+where w is the central-difference gradient of H over the real coordinates
+[Re c0, Im c0, Re c1, ...].  Each stage solves it from one eigh of Hm,
+which also decides degeneracy: the form is degenerate unless every
+eigenvalue is finite and 0 < lambda_min, lambda_max < 1e12 lambda_min.
+
+symplectic_matrix keeps the realified 2-form, the real antisymmetric
+matrix A[a, b] = 2 Im M(E_a, E_b); Poisson brackets are
+df^T A^{-1} dg / hbar.  A = -2 S J, where S is Hm acting on the real
+coordinates and J is multiplication by i there, which is orthogonal.  So
+for positive definite Hm, cond(A) = lambda_max / lambda_min, and the
+eigenvalue test is symplectic_matrix's cond(A) < 1e12 without its SVD.
 Spaces with real charts (euclidean, reciprocal) have A = 0 identically and
 raise the degeneracy error.
 """
@@ -72,7 +84,11 @@ class AutocorrSeries:
 @dataclass
 class HamiltonianSpec:
     """One of: an oscillator generator, a label field F(t, z) with
-    i hbar z' = F, or a classical scalar H(z)."""
+    i hbar z' = F, or a classical scalar H(z).
+
+    F and H get one label per call, in the space's own form (a complex or
+    real scalar on scalar charts), and need not accept stacked labels.
+    """
 
     gen: object = None
     F: object = None
@@ -144,13 +160,6 @@ def _from_coords(space, arr, scalar):
     return np.asarray(arr).real.copy()
 
 
-def _tangent_from_real(space, x):
-    """Real coefficient vector -> chart tangent (complex pairing Re, Im)."""
-    if space.complex_chart:
-        return x[0::2] + 1j * x[1::2]
-    return np.asarray(x, dtype=float)
-
-
 @lru_cache(maxsize=None)
 def _realifier(m):
     """D and D* for m chart coordinates: row j of D sends coordinate j to
@@ -185,39 +194,44 @@ def _rk4_step(f, t, y, dt):
 def propagate_ode(space, ham, z0, t_end, dt):
     """Fixed-step RK4 on the label field of ``ham``.
 
-    Oscillator specs use their closed-form field; classical specs use the
-    Hamiltonian field (see el_integrate).  If a step leaves the space's
-    domain the trajectory is returned truncated at the last valid point,
-    with meta["aborted"] set.
+    The loop runs on one chart-coordinate array; labels in the space's own
+    form are made only for ``F``, ``H`` and the per-step ``validate``.
+    Oscillator specs step homogeneous labels [z, 1], so each stage is one
+    product with the transposed block generator -(i/hbar) gen_block(gen).
+    Classical specs use the Euler-Lagrange field (see el_integrate).  If a
+    step leaves the space's domain the trajectory is returned truncated at
+    the last valid point, with meta["aborted"] set.
     """
     if dt <= 0 or t_end < 0:
         raise DomainError("need dt > 0 and t_end >= 0")
-    if ham.gen is not None:
-        f = oscillator_field(ham.gen, ham.hbar)
-    elif ham.F is not None:
-        f = ham.F
-    else:
-        f = _classical_field(space, ham)
-
     steps = t_end / dt  # may overflow to inf, so compared before rounding
     if steps > MAX_SIZE + 0.5:
-        raise DomainError(f"{steps:.0f} steps for t_end={t_end:g}, dt={dt:g}; "
+        raise DomainError(f"{steps:.3g} steps for t_end={t_end:g}, dt={dt:g}; "
                           f"the most allowed is {MAX_SIZE}")
     n_steps = int(round(steps))
     z0 = space.validate(z0)
-    arr, scalar = _coords(space, z0)
+    y, scalar = _coords(space, z0)
+    m = len(y)  # label slots of y
+    if ham.gen is not None:
+        Mt = (-(1j / ham.hbar) * gen_block(ham.gen)).T
+        y = np.append(y, 1.0)
 
-    def fc(t, y):
-        pt = _from_coords(space, y, scalar)
-        return np.atleast_1d(np.asarray(f(t, pt), dtype=complex))
+        def f(t, y):
+            return y @ Mt
+    elif ham.F is not None:
+        def f(t, y):
+            return np.atleast_1d(np.asarray(ham.F(t, _from_coords(space, y, scalar)),
+                                            dtype=complex))
+    else:
+        def f(t, y):
+            return _el_velocity(space, ham.H, y, scalar, ham.hbar)
 
     points = [z0]
     meta = {"integrator": "rk4", "dt": dt, "aborted": False}
-    y = arr.astype(complex)
     for i in range(n_steps):
         try:
-            y = _rk4_step(fc, i * dt, y, dt)
-            pt = space.validate(_from_coords(space, y, scalar))
+            y = _rk4_step(f, i * dt, y, dt)
+            pt = space.validate(_from_coords(space, y[:m], scalar))
         except DomainError as err:
             meta["aborted"] = True
             meta["reason"] = str(err)
@@ -257,13 +271,15 @@ def _mixed_matrix(space, z):
     return H
 
 
+def _real_chart_error(space):
+    return DegenerateFormError(f"coherent 2-form vanishes identically on {space.space_id}")
+
+
 def symplectic_matrix(space, z):
     """Real antisymmetric matrix of the coherent 2-form in realified
     coordinates; raises DegenerateFormError when numerically singular."""
     if not space.complex_chart:
-        raise DegenerateFormError(
-            f"coherent 2-form vanishes identically on {space.space_id}"
-        )
+        raise _real_chart_error(space)
     H = _mixed_matrix(space, z)
     D, Dh = _realifier(space.coord_len)
     A = 2.0 * np.imag(Dh @ H @ D)
@@ -272,29 +288,47 @@ def symplectic_matrix(space, z):
     return A
 
 
-def _grad(space, f, z, h=None):
-    """Central-difference gradient in realified coordinates."""
-    arr, scalar = _coords(space, z)
+def _grad(space, f, arr, scalar, h=None):
+    """Central-difference gradient of the one-label callable f in realified
+    coordinates, at chart coordinates arr: the 2 * 2m stencil labels are
+    built as one array and f is called once per label."""
     if h is None:
         h = 1e-6 * max(1.0, float(np.linalg.norm(arr)))
-    basis = _real_basis(space)
-    g = np.empty(len(basis), dtype=complex)
-    for a, T in enumerate(basis):
-        fp = f(_from_coords(space, arr + h * T, scalar))
-        fm = f(_from_coords(space, arr + (-h) * T, scalar))
-        g[a] = (complex(fp) - complex(fm)) / (2.0 * h)
-    return g
+    steps = h * _real_basis(space)
+    stencil = np.concatenate([arr + steps, arr - steps])
+    vals = np.array([complex(f(_from_coords(space, y, scalar))) for y in stencil])
+    n = len(steps)
+    return (vals[:n] - vals[n:]) / (2.0 * h)
+
+
+def _el_velocity(space, H, y, scalar, hbar, h=None):
+    """Chart velocity of the Euler-Lagrange field at chart coordinates y:
+    z' = -(i/hbar) Hm^{-1} g with g = (w[0::2] + i w[1::2]) / 2, solved as
+    (Hm + Hm*)^{-1} (2 g) from one eigendecomposition that also decides
+    degeneracy (see the module docstring)."""
+    if not space.complex_chart:
+        raise _real_chart_error(space)
+    z = _from_coords(space, y, scalar)
+    Hm = _mixed_matrix(space, z)
+    # twice the Hermitian part: the FD oracle's Hm need not be Hermitian and
+    # eigh reads one triangle; A is made of its entries, so both are finite
+    # or neither is
+    S = Hm + Hm.conj().T
+    if np.isfinite(S).all():
+        lam, V = np.linalg.eigh(S)
+        if np.isfinite(lam).all() and 0.0 < lam[0] and lam[-1] < 1e12 * lam[0]:
+            w = _grad(space, H, y, scalar, h)
+            g2 = w[0::2] + 1j * w[1::2]
+            return (-1j / hbar) * (V @ ((V.conj().T @ g2) / lam))
+    raise DegenerateFormError(f"coherent 2-form degenerate at z = {z!r}")
 
 
 def hamiltonian_vector_field(space, H, z, hbar=1.0, grad_h=None):
-    """Realified field x' = -(1/hbar) A^{-1} dH at z, returned as a chart
-    tangent vector."""
-    A = symplectic_matrix(space, z)
-    dH = _grad(space, H, z, h=grad_h)
-    x = -np.linalg.solve(A.astype(complex), dH) / hbar
+    """Euler-Lagrange field z' = -(i/hbar) Hm^{-1} dH/dconj(z) at z, as a
+    chart tangent vector."""
     arr, scalar = _coords(space, z)
-    tan = _tangent_from_real(space, x)
-    return complex(tan[0]) if scalar else tan
+    v = _el_velocity(space, H, arr, scalar, hbar, grad_h)
+    return complex(v[0]) if scalar else v
 
 
 def poisson_bracket(space, f, g, z, hbar=1.0, grad_h=None):
@@ -305,24 +339,17 @@ def poisson_bracket(space, f, g, z, hbar=1.0, grad_h=None):
     negates the result exactly, not just up to solver rounding.
     """
     A = symplectic_matrix(space, z).astype(complex)
-    df = _grad(space, f, z, h=grad_h)
-    dg = _grad(space, g, z, h=grad_h)
+    arr, scalar = _coords(space, z)
+    df = _grad(space, f, arr, scalar, h=grad_h)
+    dg = _grad(space, g, arr, scalar, h=grad_h)
     xg = np.linalg.solve(A, dg)
     xf = np.linalg.solve(A, df)
     return (complex(df @ xg) - complex(dg @ xf)) / (2.0 * hbar)
 
 
-def _classical_field(space, ham):
-    def F(t, z):
-        v = hamiltonian_vector_field(space, ham.H, z, ham.hbar)
-        return np.atleast_1d(np.asarray(v, dtype=complex))
-
-    return F
-
-
 def el_integrate(space, ham, z0, t_end, dt):
-    """Integrate the coherent Euler-Lagrange equation x' = -A^{-1} dH / hbar
-    with RK4, assembling the 2-form and gradient at every stage."""
+    """Integrate the coherent Euler-Lagrange equation i hbar Hm z' = dH/dconj(z)
+    with RK4, assembling Hm and the gradient at every stage."""
     if ham.H is None:
         raise DomainError("el_integrate needs a classical Hamiltonian")
     return propagate_ode(space, ham, z0, t_end, dt)

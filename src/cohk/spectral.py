@@ -91,7 +91,7 @@ def oscillator_series(gen, z, zp, t_max, dt, hbar=1.0):
     steps = t_max / dt  # may overflow to inf, so compared before rounding
     if steps > MAX_SIZE + 0.5:
         raise DomainError(
-            f"{steps:.0f} steps for t_max={t_max:g}, dt={dt:g}; an energy this "
+            f"{steps:.3g} steps for t_max={t_max:g}, dt={dt:g}; an energy this "
             "close to the real axis needs the eta extrapolation instead"
         )
     if steps <= 0.5:
@@ -264,8 +264,20 @@ def spectrum_scan(series, E_grid, swapped=None, floor=1e-4):
 # resolvent quadrature
 
 
-def _auto_t_max(E, hbar):
-    return hbar * math.log(1e12) / E.imag
+def _auto_t_max(rate, hbar, dt, name):
+    """Horizon where the damping e^{-rate t / hbar} falls below 1e-12; a
+    DomainError naming the damping input ``name`` if that is within one step
+    or more than MAX_SIZE steps away."""
+    t_max = hbar * math.log(1e12) / rate
+    if dt > 0:
+        steps = t_max / dt
+        if steps <= 0.5:
+            raise DomainError(f"{name}={rate:g} damps the series below 1e-12 "
+                              f"within one step dt={dt:g}")
+        if steps > MAX_SIZE + 0.5:
+            raise DomainError(f"{name}={rate:g} needs {steps:.3g} steps of dt={dt:g} to damp "
+                              f"the series below 1e-12; the most allowed is {MAX_SIZE}")
+    return t_max
 
 
 def _resolvent_series(ham, z, zp, E, t_max, dt):
@@ -274,7 +286,7 @@ def _resolvent_series(ham, z, zp, E, t_max, dt):
         raise DomainError("direct resolvent quadrature needs Im E > 0")
     hbar = ham.hbar
     if t_max <= 0:
-        t_max = _auto_t_max(E, hbar)
+        t_max = _auto_t_max(E.imag, hbar, dt, "Im E")
     series = oscillator_series(ham.gen, z, zp, t_max, dt, hbar)
     t = series.times
     iota = 1j / hbar
@@ -301,7 +313,7 @@ def resolvent_symmetry_residual(space, ham, z, zp, E, t_max=0.0, dt=1e-2):
     E = complex(E)
     hbar = ham.hbar
     if t_max <= 0:
-        t_max = _auto_t_max(E, hbar)
+        t_max = _auto_t_max(E.imag, hbar, dt, "Im E")
     pts = _flow_points(ham.gen, z, int(round(t_max / dt)), -dt, hbar)
     kvals = klauder_kernel(zp, pts)
     t = dt * np.arange(len(pts))
@@ -367,7 +379,7 @@ def spectral_density(space, ham, z, zp, E_grid, eta, dt=1e-2):
     if eta <= 0:
         raise DomainError("eta must be positive")
     hbar = ham.hbar
-    t_max = hbar * math.log(1e12) / eta
+    t_max = _auto_t_max(eta, hbar, dt, "eta")
     series = oscillator_series(ham.gen, z, zp, t_max, dt, hbar)
     t = series.times
     iota = 1j / hbar

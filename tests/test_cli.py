@@ -170,6 +170,13 @@ def test_non_finite_values_exit_two(tmp_path, capsys, experiment, params, path):
                   "t_end": 0.2, "dt": 0.01}, r"trajectory left the domain at t=0"),
     # zero steps left the start point alone to check, which passed
     ("dynamics", {"t_end": 0.2, "dt": 1e300}, r"params\.t_end: 0\.2 is shorter than one step"),
+    # a damping this strong puts the derived horizon within one step, and one
+    # this weak puts it beyond MAX_SIZE steps; the message names the input
+    # that set it, not the horizon
+    ("spectrum", {"eta": 1e300}, r"eta=1e\+300 damps the series .* within one step"),
+    ("resolvent", {"E": [0.5, 1e300]}, r"Im E=1e\+300 damps the series .* within one step"),
+    ("spectrum", {"eta": 1e-9}, r"eta=1e-09 needs 5\.53e\+11 steps of dt=0\.05"),
+    ("resolvent", {"E": [0.5, 1e-300]}, r"Im E=1e-300 needs 2\.76e\+303 steps of dt=0\.01"),
 ])
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_unrunnable_configs_exit_two(tmp_path, capsys, experiment, params, message):
@@ -212,6 +219,33 @@ def test_kernel_overflow_exits_two_naming_space_and_pair(tmp_path):
     assert "Traceback" not in proc.stderr
     assert "config error" in proc.stderr
     assert "klauder(1)" in proc.stderr and "point pair (0, 1)" in proc.stderr
+
+
+def test_overflowing_label_exits_two_without_warnings(tmp_path):
+    # exp of a 1e300 label overflows everywhere; the config error is the only
+    # thing printed
+    src = str(Path(cohk.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    path = _write_config(tmp_path, _base("df-propagate", params={"z0": [1e300, 1e300]}))
+    proc = subprocess.run(
+        [sys.executable, "-m", "cohk", "run", path, "--out", str(tmp_path / "out")],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 2, proc.stderr
+    assert "config error" in proc.stderr
+    assert "RuntimeWarning" not in proc.stderr and "Traceback" not in proc.stderr
+
+
+def test_csv_float_rows_match_the_per_value_format(tmp_path):
+    from cohk.cli import _fmt, _write_csv
+
+    rows = [[0.0, -0.0, 1.0 / 3.0], [1e300, 5e-324, -2.5], [math.inf, -math.inf, math.nan],
+            ["case", 3, np.float64(0.1)], [1, 2.0, np.int64(7)]]
+    files = []
+    _write_csv(str(tmp_path), "x.csv", ["a", "b", "c"], rows, files)
+    want = "a,b,c\n" + "".join(",".join(_fmt(v) for v in r) + "\n" for r in rows)
+    assert (tmp_path / "x.csv").read_text() == want
+    assert files == ["x.csv"]
 
 
 def test_list_exits_zero_and_names_all_experiments(capsys):

@@ -6,10 +6,12 @@ import numpy as np
 import pytest
 
 from cohk.core import DegenerateFormError, DomainError
-from cohk.catalog import make_space
+from cohk.catalog import make_space, space_names
 from cohk.dynamics import (
     HamiltonianSpec,
     Trajectory,
+    _coords,
+    _grad,
     autocorrelation,
     df_action,
     el_integrate,
@@ -297,3 +299,146 @@ def test_time_reversal_recovers_the_start():
     neg = HamiltonianSpec(H=lambda z: -quadratic_H(z))
     back = el_integrate(space, neg, fwd.points[-1], 1.0, 1e-3)
     assert np.abs(back.points[-1] - Z0).max() < 1e-6
+
+
+# ---------------------------------------------------------------------------
+# integrator stages against their references
+
+
+def _field_rk4(space, gen, z0, t_end, dt, hbar=1.0):
+    """Reference oscillator RK4: the closed-form field oscillator_field,
+    one call per stage, with propagate_ode's per-step validate and abort."""
+    f = oscillator_field(gen, hbar)
+    y = np.asarray(z0, dtype=complex).copy()
+    points, aborted = [y], False
+    for i in range(int(round(t_end / dt))):
+        t = i * dt
+        k1 = f(t, y)
+        k2 = f(t + dt / 2.0, y + dt / 2.0 * k1)
+        k3 = f(t + dt / 2.0, y + dt / 2.0 * k2)
+        k4 = f(t + dt, y + dt * k3)
+        y = y + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        try:
+            points.append(space.validate(y))
+        except DomainError:
+            aborted = True
+            break
+    return np.stack(points), aborted
+
+
+# Generators whose entries are 0, powers of two or ones make every product in
+# a stage exact and every sum at most two terms, so the matrix-form stage
+# must reproduce the field's arithmetic bit for bit.
+_BITWISE_CASES = {
+    "number-dim1": (_number_op(1), [-0.5, 1.0], 4.0, 1e-3),
+    "number-dim2": (_number_op(2), [0.25 - 0.5j, 1.0, 0.3 + 0.7j], 4.0, 1e-3),
+    "non-hermitian-dim1": (OscGenerator(0.25, np.array([0.5j]), np.array([-2.0]),
+                                        np.array([[0.5 - 0.25j]])),
+                           [0.1 + 0.2j, -0.6 + 0.4j], 4.0, 1e-3),
+    "non-hermitian-dim2": (OscGenerator(0.25, np.array([0.5, 0.0]), np.array([0.0, 0.5j]),
+                                        np.array([[0.5j, 1.0], [0.0, -0.25]])),
+                           [0.1 + 0.2j, -0.6 + 0.4j, 0.3 - 0.1j], 4.0, 1e-3),
+    # growth e^{512 t}: RK4 overflows after about 125 steps and the run aborts
+    "aborted": (OscGenerator(0.0, np.zeros(1), np.zeros(1), np.array([[512j]])),
+                [0.0, 1.0], 4.0, 1.0 / 64),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_BITWISE_CASES))
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_oscillator_rk4_is_bitwise_the_field_loop(case):
+    gen, z0, t_end, dt = _BITWISE_CASES[case]
+    space = make_space("klauder", dim=gen.n)
+    z0 = np.array(z0, dtype=complex)
+    want, aborted = _field_rk4(space, gen, z0, t_end, dt)
+    traj = propagate_ode(space, HamiltonianSpec(gen=gen), z0, t_end, dt)
+    assert traj.meta["aborted"] == aborted == (case == "aborted")
+    if aborted:
+        assert 2 < len(traj) < round(t_end / dt)
+    assert np.array_equal(np.stack(traj.points), want)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("hbar", [1.0, 0.7])
+def test_oscillator_rk4_dense_generator_matches_the_field_loop(n, hbar):
+    # with dense complex entries the stage product sums the same terms in
+    # another order than the field's vdot and matvec, so equality is to
+    # rounding (measured <= 1e-16 relative over 2000 steps)
+    rng = np.random.default_rng(SEED)
+    gen = OscGenerator(0.2 + 0.1j, rng.normal(size=n) + 1j * rng.normal(size=n),
+                       rng.normal(size=n) + 0j,
+                       rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+    z0 = 0.5 * (rng.normal(size=n + 1) + 1j * rng.normal(size=n + 1))
+    space = make_space("klauder", dim=n)
+    want, _ = _field_rk4(space, gen, z0, 2.0, 1e-3, hbar)
+    traj = propagate_ode(space, HamiltonianSpec(gen=gen, hbar=hbar), z0, 2.0, 1e-3)
+    got = np.stack(traj.points)
+    assert got.shape == want.shape
+    assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+
+def _smooth_H(z):
+    a = np.atleast_1d(z)
+    return float(np.sum(np.abs(a) ** 2) + np.real(a[0] ** 3) + 0.5 * np.imag(a[-1]))
+
+
+def _realified_field(space, H, z, hbar=1.0):
+    """x' = -(1/hbar) A^{-1} dH with the realified 2-form, as a chart tangent."""
+    A = symplectic_matrix(space, z)
+    dH = _grad(space, H, *_coords(space, z))
+    x = -np.linalg.solve(A.astype(complex), dH) / hbar
+    return x[0::2] + 1j * x[1::2]
+
+
+_COMPLEX_CHARTS = [make_space(name) for name in space_names()
+                   if make_space(name).complex_chart] + [make_space("klauder", dim=2)]
+
+
+@pytest.mark.parametrize("space", _COMPLEX_CHARTS, ids=lambda s: s.space_id)
+def test_el_field_matches_the_realified_solve(space):
+    rng = np.random.default_rng(SEED)
+    for _ in range(50):
+        z = space.sample_point(rng)
+        got = np.atleast_1d(hamiltonian_vector_field(space, _smooth_H, z, hbar=0.8))
+        want = _realified_field(space, _smooth_H, z, hbar=0.8)
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+
+def test_el_field_matches_the_realified_solve_on_the_fd_oracle():
+    # near the real axis de Branges Hm comes from the FD oracle
+    space = make_space("debranges")
+    for z in (0.3 + 5e-5j, -1.0 + 1e-6j, 0.7 - 3e-5j):
+        assert not space.has_closed_geometry(z)
+        got = hamiltonian_vector_field(space, _smooth_H, z)
+        want = _realified_field(space, _smooth_H, z)[0]
+        assert abs(got - want) <= 1e-13 * abs(want)
+
+
+def _raises_degenerate(fn, *args):
+    try:
+        fn(*args)
+    except DegenerateFormError:
+        return True
+    return False
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_el_field_degenerate_wherever_the_symplectic_matrix_is():
+    for name in ("euclidean", "reciprocal"):
+        space = make_space(name)
+        z = space.sample_point(np.random.default_rng(SEED))
+        with pytest.raises(DegenerateFormError):
+            hamiltonian_vector_field(space, _smooth_H, z)
+    # z0 = 354.7 leaves K(z, z) finite but 2 K(z, z) not; z0 = -|zhat|^2/2
+    # keeps K(z, z) = 1 while cond(Hm) grows like |zhat|^4 (1e8, 8e13, 1e16)
+    degenerate = 0
+    for dim in (1, 2):
+        space = make_space("klauder", dim=dim)
+        for zh in (0.0, 1.0, 1e2, 3e3, 1e4, 1e8):
+            for z0 in (0.0, 300.0, 354.5, 354.7, 354.95, 400.0, -zh * zh / 2.0):
+                z = np.array([z0] + [zh] * dim, dtype=complex)
+                want = _raises_degenerate(symplectic_matrix, space, z)
+                got = _raises_degenerate(hamiltonian_vector_field, space, _smooth_H, z)
+                assert got == want, z
+                degenerate += want
+    assert 0 < degenerate < 84
