@@ -1,9 +1,10 @@
 """Concrete coherent spaces and the finite-difference derivation oracle.
 
-Eight spaces are provided, each with one kernel, seeded samplers and
-closed-form first/second kernel derivatives.  Every kernel is a single
-numpy expression that broadcasts over stacked leading axes of its two
-labels; a single pair gives a complex scalar.
+Eight spaces are provided, each with one kernel, one seeded sampler and
+closed-form first/second kernel derivatives.  Every kernel and every closed
+form is a single numpy expression that broadcasts over stacked leading axes
+of its labels and tangents; a single case is the 0-d instance of the same
+expression and gives a complex scalar.
 
 ========== =========================== =================================
 name       points                      kernel
@@ -23,9 +24,13 @@ slot).  The finite-difference versions are the ground truth the closed
 forms are validated against: central differences with one Richardson
 level, paths re-projected on the sphere.  Each stencil, both Richardson
 steps included, is one call of the differentiated function on stacked
-chart-path points.  First derivatives step 1e-5 * max(1, |z|); the mixed
-second difference steps 1e-3 * max(1, |z|), because its roundoff grows
-like 1/h^2 rather than 1/h.
+chart-path points, for a whole stack of cases at once.  First derivatives
+step 1e-5 * max(1, |z|); the mixed second difference steps
+1e-3 * max(1, |z|), because its roundoff grows like 1/h^2 rather than 1/h.
+
+The geometry (theta, metric, two-form, WTG jets and geometry reports)
+takes one case or a stack of them and uses the closed forms where the
+space has them, the FD oracle on the other cases.
 """
 
 from __future__ import annotations
@@ -33,6 +38,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -97,23 +103,18 @@ class EuclideanSpace(CoherentSpace):
             raise DomainError("non-finite coordinates")
         return z
 
-    def sample_point(self, rng):
-        return rng.normal(size=self.dim)
-
     def sample_points(self, rng, n):
         return rng.normal(size=(n, self.dim))
 
     def sample_tangent(self, z, rng):
         return rng.normal(size=self.dim)
 
+    # the kernel is bilinear: R_X K(z, z) = K(z, X) and L_X R_Y K = K(X, Y)
     def theta_form(self, z, X):
-        return complex(np.dot(z, X))
+        return self.kernel(z, X)
 
     def mixed_form(self, z, X, Y):
-        return complex(np.dot(X, Y))
-
-    def has_closed_geometry(self, z):
-        return True
+        return self.kernel(X, Y)
 
 
 class HermitianSpace(CoherentSpace):
@@ -137,9 +138,6 @@ class HermitianSpace(CoherentSpace):
             raise DomainError("non-finite coordinates")
         return z
 
-    def sample_point(self, rng):
-        return (rng.normal(size=self.dim) + 1j * rng.normal(size=self.dim)) / math.sqrt(2)
-
     def sample_points(self, rng, n):
         sh = (n, self.dim)
         return (rng.normal(size=sh) + 1j * rng.normal(size=sh)) / math.sqrt(2)
@@ -147,14 +145,12 @@ class HermitianSpace(CoherentSpace):
     def sample_tangent(self, z, rng):
         return (rng.normal(size=self.dim) + 1j * rng.normal(size=self.dim)) / math.sqrt(2)
 
+    # the kernel is sesquilinear: R_X K(z, z) = K(z, X) and L_X R_Y K = K(X, Y)
     def theta_form(self, z, X):
-        return complex(np.vdot(z, X))
+        return self.kernel(z, X)
 
     def mixed_form(self, z, X, Y):
-        return complex(np.vdot(X, Y))
-
-    def has_closed_geometry(self, z):
-        return True
+        return self.kernel(X, Y)
 
 
 class UnitSphereSpace(HermitianSpace):
@@ -183,10 +179,6 @@ class UnitSphereSpace(HermitianSpace):
     def chart_path(self, z, X, t):
         w = super().chart_path(z, X, t)
         return w / np.sqrt(np.vecdot(w, w).real)[..., None]
-
-    def sample_point(self, rng):
-        v = rng.normal(size=self.dim) + 1j * rng.normal(size=self.dim)
-        return v / math.sqrt(np.vdot(v, v).real)
 
     def sample_points(self, rng, n):
         V = rng.normal(size=(n, self.dim)) + 1j * rng.normal(size=(n, self.dim))
@@ -224,10 +216,6 @@ class KlauderSpace(CoherentSpace):
             raise DomainError("non-finite coordinates")
         return z
 
-    def sample_point(self, rng):
-        v = rng.normal(size=self.coord_len) + 1j * rng.normal(size=self.coord_len)
-        return 0.5 * v
-
     def sample_points(self, rng, n):
         sh = (n, self.coord_len)
         return 0.5 * (rng.normal(size=sh) + 1j * rng.normal(size=sh))
@@ -236,40 +224,31 @@ class KlauderSpace(CoherentSpace):
         v = rng.normal(size=self.coord_len) + 1j * rng.normal(size=self.coord_len)
         return 0.5 * v
 
-    # u(X) = X0 + zhat* Xhat collects how the exponent responds to the
-    # right-slot displacement X at the diagonal point.
-    def _u(self, z, X):
-        return complex(X[0] + np.vdot(z[1:], X[1:]))
-
+    # u(X) = X0 + zhat* Xhat is how the exponent responds to the right-slot
+    # displacement X at the diagonal point: theta = K u(X) and
+    # L_X R_Y K = K (Xhat* Yhat + conj(u(X)) u(Y)).  np.multiply keeps a
+    # single case on numpy's array loops, as a stack is (numpy's scalar
+    # complex product rounds differently).
     def theta_form(self, z, X):
-        return self.kernel(z, z) * self._u(z, X)
+        return np.multiply(self.kernel(z, z), X[..., 0] + np.vecdot(z[..., 1:], X[..., 1:]))
 
     def mixed_form(self, z, X, Y):
-        k = self.kernel(z, z)
-        return k * (np.vdot(X[1:], Y[1:]) + np.conj(self._u(z, X)) * self._u(z, Y))
-
-    def mixed_matrix(self, z):
-        """Hermitian matrix H with L_X R_Y K(z,z) = X* H Y over chart coords."""
-        m = self.coord_len
-        k = self.kernel(z, z)
-        u = np.concatenate(([1.0 + 0j], np.conj(z[1:])))
-        h = np.outer(np.conj(u), u)
-        h[1:, 1:] += np.eye(m - 1)
-        return k * h
-
-    def has_closed_geometry(self, z):
-        return True
+        zh, Xh, Yh = z[..., 1:], X[..., 1:], Y[..., 1:]
+        uX = X[..., 0] + np.vecdot(zh, Xh)
+        uY = Y[..., 0] + np.vecdot(zh, Yh)
+        return np.multiply(self.kernel(z, z), np.vecdot(Xh, Yh) + np.multiply(np.conj(uX), uY))
 
 
 # ---------------------------------------------------------------------------
 # scalar-chart spaces
 
 
-def _lift(z, zp):
-    """Scalar-chart labels as complex arrays with a trailing unit axis, so a
-    single pair runs through numpy's array loops like a stacked one (its
-    scalar complex product rounds differently); ``_drop`` undoes it."""
-    return np.asarray(z, dtype=complex)[..., None], np.asarray(zp, dtype=complex)[..., None]
+def _lift(*args):
+    """Scalar-chart labels and tangents as complex arrays with a trailing
+    unit axis, so a single case runs through numpy's array loops like a
+    stacked one (numpy's scalar complex product rounds differently);
+    ``_drop`` undoes it."""
+    return [np.asarray(a, dtype=complex)[..., None] for a in args]
 
 
 def _drop(k):
@@ -279,6 +258,7 @@ def _drop(k):
 
 class _ScalarSpace(CoherentSpace):
     coord_len = 1
+    scalar_chart = True
 
     def sample_tangent(self, z, rng):
         return complex(rng.normal() + 1j * rng.normal()) / math.sqrt(2)
@@ -301,9 +281,6 @@ class ReciprocalSpace(_ScalarSpace):
             raise DomainError("reciprocal points are strictly positive reals")
         return z
 
-    def sample_point(self, rng):
-        return float(rng.uniform(0.4, 2.5))
-
     def sample_points(self, rng, n):
         return rng.uniform(0.4, 2.5, size=n)
 
@@ -311,13 +288,10 @@ class ReciprocalSpace(_ScalarSpace):
         return float(rng.normal())
 
     def theta_form(self, z, X):
-        return complex(-X / (4.0 * z * z))
+        return -X / (4.0 * z * z) + 0j
 
     def mixed_form(self, z, X, Y):
-        return complex(X * Y / (4.0 * z ** 3))
-
-    def has_closed_geometry(self, z):
-        return True
+        return X * Y / (4.0 * z * z * z) + 0j
 
 
 class SzegoSpace(_ScalarSpace):
@@ -338,26 +312,21 @@ class SzegoSpace(_ScalarSpace):
             raise DomainError("szego points lie in the open unit disk")
         return z
 
-    def sample_point(self, rng):
-        r = rng.uniform(0.05, 0.75)
-        phi = rng.uniform(0.0, 2.0 * math.pi)
-        return complex(r * cmath.exp(1j * phi))
-
     def sample_points(self, rng, n):
         r = rng.uniform(0.05, 0.75, size=n)
         phi = rng.uniform(0.0, 2.0 * math.pi, size=n)
         return r * np.exp(1j * phi)
 
     def theta_form(self, z, X):
-        d = 1.0 - abs(z) ** 2
-        return complex(np.conj(z) * X / d ** 2)
+        u, x = _lift(z, X)
+        d = 1.0 - np.abs(u) ** 2
+        return _drop(np.conj(u) * x / (d * d))
 
     def mixed_form(self, z, X, Y):
-        d = 1.0 - abs(z) ** 2
-        return complex(np.conj(X) * Y * (1.0 + abs(z) ** 2) / d ** 3)
-
-    def has_closed_geometry(self, z):
-        return True
+        u, x, y = _lift(z, X, Y)
+        a = np.abs(u) ** 2
+        d = 1.0 - a
+        return _drop(np.conj(x) * y * (1.0 + a) / (d * d * d))
 
 
 class SchurSpace(_ScalarSpace):
@@ -386,31 +355,28 @@ class SchurSpace(_ScalarSpace):
         return _drop((1.0 - np.conj(self.s(u)) * self.s(w)) / (1.0 - np.conj(u) * w))
 
     validate = SzegoSpace.validate
-    sample_point = SzegoSpace.sample_point
     sample_points = SzegoSpace.sample_points
 
     def theta_form(self, z, X):
-        d = 1.0 - abs(z) ** 2
-        sv = complex(self.s(z))
-        dsv = complex(self.s_prime(z))
-        a = (1.0 - abs(sv) ** 2) * np.conj(z) / d ** 2 - np.conj(sv) * dsv / d
-        return complex(a * X)
+        u, x = _lift(z, X)
+        d = 1.0 - np.abs(u) ** 2
+        sv, dsv = self.s(u), self.s_prime(u)
+        a = (1.0 - np.abs(sv) ** 2) * np.conj(u) / (d * d) - np.conj(sv) * dsv / d
+        return _drop(a * x)
 
     def mixed_form(self, z, X, Y):
-        d = 1.0 - abs(z) ** 2
-        sv = complex(self.s(z))
-        dsv = complex(self.s_prime(z))
-        ss = 1.0 - abs(sv) ** 2
+        u, x, y = _lift(z, X, Y)
+        a = np.abs(u) ** 2
+        d = 1.0 - a
+        sv, dsv = self.s(u), self.s_prime(u)
+        ss = 1.0 - np.abs(sv) ** 2
         m0 = (
-            ss / d ** 2
-            + 2.0 * ss * abs(z) ** 2 / d ** 3
-            - 2.0 * (np.conj(sv) * dsv * z).real / d ** 2
-            - abs(dsv) ** 2 / d
+            ss / (d * d)
+            + 2.0 * ss * a / (d * d * d)
+            - 2.0 * (np.conj(sv) * dsv * u).real / (d * d)
+            - np.abs(dsv) ** 2 / d
         )
-        return complex(np.conj(X) * Y * m0)
-
-    def has_closed_geometry(self, z):
-        return True
+        return _drop(np.conj(x) * y * m0)
 
 
 class DeBrangesSpace(_ScalarSpace):
@@ -477,18 +443,13 @@ class DeBrangesSpace(_ScalarSpace):
             raise DomainError("K(z,z) <= 0: point outside the usable domain")
         return z
 
-    def sample_point(self, rng):
-        x = rng.uniform(-1.5, 1.5)
-        y = rng.uniform(0.1, 0.8) * (1.0 if rng.uniform() < 0.5 else -1.0)
-        return complex(x, y)
-
     def sample_points(self, rng, n):
         x = rng.uniform(-1.5, 1.5, size=n)
         y = rng.uniform(0.1, 0.8, size=n) * np.where(rng.uniform(size=n) < 0.5, 1.0, -1.0)
         return x + 1j * y
 
     def has_closed_geometry(self, z):
-        return abs(complex(z).imag) >= self._closed_cut
+        return np.abs(np.imag(z)) >= self._closed_cut
 
     def _phi_w(self, u, w):
         d = u - w
@@ -509,14 +470,12 @@ class DeBrangesSpace(_ScalarSpace):
         )
 
     def theta_form(self, z, X):
-        if not self.has_closed_geometry(z):
-            raise NotImplementedError("closed form unstable this close to the real axis")
-        return complex(X * self._phi_w(np.conj(z), z))
+        u, x = _lift(z, X)
+        return _drop(x * self._phi_w(np.conj(u), u))
 
     def mixed_form(self, z, X, Y):
-        if not self.has_closed_geometry(z):
-            raise NotImplementedError("closed form unstable this close to the real axis")
-        return complex(np.conj(X) * Y * self._phi_uw(np.conj(z), z))
+        u, x, y = _lift(z, X, Y)
+        return _drop(np.conj(x) * y * self._phi_uw(np.conj(u), u))
 
 
 # ---------------------------------------------------------------------------
@@ -601,10 +560,26 @@ def default_spaces():
 
 # ---------------------------------------------------------------------------
 # finite-difference oracle
+#
+# Every oracle takes a stack of cases, labels and tangents stacked along
+# leading axes, with one step h per label.  The step is folded into the
+# tangent, so each stencil point is chart_path(z, h X, s) for unit steps s
+# shared by all cases, and one call of the differentiated function covers
+# the stack.
 
 
-def _point_scale(z):
-    return max(1.0, float(np.linalg.norm(np.atleast_1d(np.asarray(z)))))
+def _point_scale(space, z):
+    """max(1, |z|) per label, with |z|^2 summed as numpy.linalg.norm sums
+    it (real parts, then imaginary parts)."""
+    a = np.asarray(z)
+    if space.scalar_chart:
+        a = a[..., None]
+    return np.maximum(1.0, np.sqrt(np.vecdot(a.real, a.real) + np.vecdot(a.imag, a.imag)))
+
+
+def _times(space, h, X):
+    """Tangents X scaled by their labels' steps h."""
+    return (h if space.scalar_chart else np.asarray(h)[..., None]) * X
 
 
 def _richardson(d_h, d_h2):
@@ -612,16 +587,22 @@ def _richardson(d_h, d_h2):
 
 
 def _checked(out):
-    if not np.all(np.isfinite([out.real, out.imag])):
+    if not np.all(np.isfinite(out)):
         raise AxiomViolationError("non-finite finite difference")
     return out
 
 
+_FIRST_STEPS = np.array([1.0, -1.0, 0.5, -0.5])
+_MIXED_STEPS = (np.array([[1.0, 1.0, -1.0, -1.0], [0.5, 0.5, -0.5, -0.5]]),
+                np.array([[1.0, -1.0, 1.0, -1.0], [0.5, -0.5, 0.5, -0.5]]))
+
+
 def _first_difference(f_at, h):
     """d/dt f_at(t) at 0: central differences at steps h and h/2 with one
-    Richardson level, from one call f_at([h, -h, h/2, -h/2])."""
-    steps = np.array([h, -h, h / 2.0, -h / 2.0])
-    v = np.broadcast_to(f_at(steps), steps.shape)
+    Richardson level, from one call f_at(s) on the unit steps
+    s = [1, -1, 1/2, -1/2], which f_at scales by h."""
+    v = f_at(_FIRST_STEPS)
+    v = np.broadcast_to(v, (4,) + np.shape(v)[1:])
     return _checked(_richardson((v[0] - v[1]) / (2.0 * h), (v[2] - v[3]) / h))
 
 
@@ -630,11 +611,13 @@ def fd_R(space, f, z, zp, X, h=None):
 
     One Richardson level (steps h and h/2); h defaults to
     1e-5 * max(1, |z'|).  f broadcasts like ``space.kernel``: the whole
-    stencil is one call on stacked right labels.  A constant f is fine.
+    stencil of every stacked case is one call on stacked right labels.  A
+    constant f is fine.
     """
     if h is None:
-        h = 1e-5 * _point_scale(zp)
-    return _first_difference(lambda t: f(z, space.chart_path(zp, X, t)), h)
+        h = 1e-5 * _point_scale(space, zp)
+    hX = _times(space, h, X)
+    return _first_difference(lambda s: f(z, space.chart_path(zp, hX, s)), h)
 
 
 def fd_L(space, f, z, zp, X, h=None):
@@ -643,31 +626,31 @@ def fd_L(space, f, z, zp, X, h=None):
     Same steps and broadcasting contract as fd_R, on stacked left labels.
     """
     if h is None:
-        h = 1e-5 * _point_scale(z)
-    return _first_difference(lambda t: f(space.chart_path(z, X, t), zp), h)
+        h = 1e-5 * _point_scale(space, z)
+    hX = _times(space, h, X)
+    return _first_difference(lambda s: f(space.chart_path(z, hX, s), zp), h)
 
 
 def fd_LR(space, z, X, Y, f=None, h=None):
     """Mixed second difference L_X R_Y f evaluated at (z, z).
 
     Four-point stencil with one Richardson level, evaluated as one call of
-    f on eight stacked label pairs; f defaults to the kernel and broadcasts
-    like it (a constant f is fine).  h defaults to 1e-3 * max(1, |z|): the
-    stencil divides roundoff by h^2, and after the Richardson level the
-    truncation error is O(h^4), so the first-derivative step 1e-5 would
-    leave ~1e-6 relative noise.
+    f on eight stacked label pairs per case; f defaults to the kernel and
+    broadcasts like it (a constant f is fine).  h defaults to
+    1e-3 * max(1, |z|): the stencil divides roundoff by h^2, and after the
+    Richardson level the truncation error is O(h^4), so the
+    first-derivative step 1e-5 would leave ~1e-6 relative noise.
     """
     if f is None:
         f = space.kernel
     if h is None:
-        h = 1e-3 * _point_scale(z)
-    hs = np.array([[h], [h / 2.0]])
-    sx = hs * np.array([1.0, 1.0, -1.0, -1.0])
-    sy = hs * np.array([1.0, -1.0, 1.0, -1.0])
-    v = np.broadcast_to(f(space.chart_path(z, X, sx), space.chart_path(z, Y, sy)),
-                        sx.shape)
-    d = (v[:, 0] - v[:, 1] - v[:, 2] + v[:, 3]) / (4.0 * hs[:, 0] * hs[:, 0])
-    return _checked(_richardson(d[0], d[1]))
+        h = 1e-3 * _point_scale(space, z)
+    sx, sy = _MIXED_STEPS
+    v = f(space.chart_path(z, _times(space, h, X), sx),
+          space.chart_path(z, _times(space, h, Y), sy))
+    v = np.broadcast_to(v, (2, 4) + np.shape(v)[2:])
+    d = [(w[0] - w[1] - w[2] + w[3]) / (4.0 * hk * hk) for w, hk in zip(v, (h, h / 2.0))]
+    return _checked(_richardson(*d))
 
 
 def _fd_theta(space, z, X):
@@ -676,49 +659,54 @@ def _fd_theta(space, z, X):
 
 # ---------------------------------------------------------------------------
 # geometry: theta, metric, two-form
+#
+# Each function takes one case or a stack of cases, z and the tangents
+# stacked alike, and returns values of the stack shape.
 
 
-def _closed_available(space, z):
-    try:
-        return space.has_closed_geometry(z)
-    except NotImplementedError:
-        return False
+def _closed_or_fd(space, closed, fd, z, *tangents):
+    """closed(z, *tangents) on the cases where the space has closed
+    geometry and fd(z, *tangents) on the others, each run only on its own
+    cases."""
+    args = [np.asarray(a) for a in (z, *tangents)]
+    shape = args[0].shape if space.scalar_chart else args[0].shape[:-1]
+    ok = np.broadcast_to(space.has_closed_geometry(z), shape)
+    out = np.empty(shape, dtype=complex)
+    for cases, form in ((ok, closed), (~ok, fd)):
+        if cases.any():
+            out[cases] = form(*(a[cases] for a in args))
+    return out[()]
 
 
-def one_form_theta(space, z, X, method="auto"):
+def one_form_theta(space, z, X):
     """theta(z)(X) = R_X K(z, z); closed form where the space has one."""
-    if method not in ("auto", "closed", "fd"):
-        raise ValueError("method must be auto, closed or fd")
-    if method == "closed" or (method == "auto" and _closed_available(space, z)):
-        return complex(space.theta_form(z, X))
-    return complex(_fd_theta(space, z, X))
+    return _closed_or_fd(space, space.theta_form, partial(_fd_theta, space), z, X)
 
 
-def metric_g(space, z, X, Y, method="auto"):
+def _mixed(space, z, X, Y):
+    """L_X R_Y K(z, z); closed form where the space has one."""
+    return _closed_or_fd(space, space.mixed_form, partial(fd_LR, space), z, X, Y)
+
+
+def metric_g(space, z, X, Y):
     """Symmetrized second kernel derivative (L_Y R_X + L_X R_Y) K(z,z) / 2."""
-    if method not in ("auto", "closed", "fd"):
-        raise ValueError("method must be auto, closed or fd")
-    if method == "closed" or (method == "auto" and _closed_available(space, z)):
-        return (complex(space.mixed_form(z, X, Y)) + complex(space.mixed_form(z, Y, X))) / 2.0
-    return (fd_LR(space, z, X, Y) + fd_LR(space, z, Y, X)) / 2.0
+    return (_mixed(space, z, X, Y) + _mixed(space, z, Y, X)) / 2.0
 
 
-def two_form_omega(space, z, X, Y, method="auto"):
+def two_form_omega(space, z, X, Y):
     """Antisymmetric part L_X R_Y K - L_Y R_X K at the diagonal point.
 
     For constant fields this is the value of the exterior derivative of
     theta; the bracket term of the general formula vanishes.
     """
-    if method not in ("auto", "closed", "fd"):
-        raise ValueError("method must be auto, closed or fd")
-    if method == "closed" or (method == "auto" and _closed_available(space, z)):
-        return complex(space.mixed_form(z, X, Y)) - complex(space.mixed_form(z, Y, X))
-    return fd_LR(space, z, X, Y) - fd_LR(space, z, Y, X)
+    return _mixed(space, z, X, Y) - _mixed(space, z, Y, X)
 
 
 @dataclass
 class GeometryReport:
-    """Closed-form vs finite-difference cross-validation at one sample."""
+    """Closed-form vs finite-difference cross-validation at one sample or a
+    stack of them.  Values have the stack shape; provenance is "closed" or
+    "fd" when every case has it, "mixed" otherwise."""
 
     g_closed: complex
     g_fd: complex
@@ -731,60 +719,48 @@ class GeometryReport:
 
 
 def geometry_report(space, z, X, Y):
-    """Compare closed-form g, theta, omega against the FD oracle at (z, X, Y)."""
+    """Compare closed-form g, theta, omega against the FD oracle at (z, X, Y).
+
+    Where the space has no closed form, the "closed" values are the FD
+    ones and their discrepancies read 0.
+    """
     lr_xy = fd_LR(space, z, X, Y)
     lr_yx = fd_LR(space, z, Y, X)
-    g_fd = (lr_xy + lr_yx) / 2.0
-    th_fd = _fd_theta(space, z, X)
-    om_fd = lr_xy - lr_yx
-    if _closed_available(space, z):
-        prov = "closed"
-        g_cl = metric_g(space, z, X, Y, method="closed")
-        th_cl = one_form_theta(space, z, X, method="closed")
-        om_cl = two_form_omega(space, z, X, Y, method="closed")
-    else:
-        prov = "fd"
-        g_cl, th_cl, om_cl = g_fd, th_fd, om_fd
-    rel = tuple(
-        abs(c - f) / max(1.0, abs(f))
-        for c, f in ((g_cl, g_fd), (th_cl, th_fd), (om_cl, om_fd))
-    )
+    m_xy = _mixed(space, z, X, Y)
+    m_yx = _mixed(space, z, Y, X)
+    pairs = (((m_xy + m_yx) / 2.0, (lr_xy + lr_yx) / 2.0),
+             (one_form_theta(space, z, X), _fd_theta(space, z, X)),
+             (m_xy - m_yx, lr_xy - lr_yx))
+    rel = tuple(np.abs(c - f) / np.maximum(1.0, np.abs(f)) for c, f in pairs)
+    closed = np.asarray(space.has_closed_geometry(z))
+    prov = "closed" if closed.all() else "mixed" if closed.any() else "fd"
+    (g_cl, g_fd), (th_cl, th_fd), (om_cl, om_fd) = pairs
     return GeometryReport(g_cl, g_fd, th_cl, th_fd, om_cl, om_fd, rel, prov)
 
 
-def infinitesimal_cs_margin(space, z, X, method="auto"):
-    """K(z,z) L_X R_X K(z,z) - |R_X K(z,z)|^2 at the diagonal point.
+def wtg_matrix(space, z, X):
+    """2x2 matrix [[K, R_X K], [L_X K, L_X R_X K]] at (z, z); PSD for any X.
+
+    Closed-form entries where available (see infinitesimal_cs_margin for
+    why), FD otherwise.  A stack of cases gives a stack of matrices.
+    """
+    th = one_form_theta(space, z, X)
+    return np.stack([np.stack([space.kernel(z, z), th], -1),
+                     np.stack([np.conj(th), _mixed(space, z, X, X)], -1)], -2)
+
+
+def infinitesimal_cs_margin(space, z, X):
+    """K(z,z) L_X R_X K(z,z) - |R_X K(z,z)|^2 at the diagonal point, the
+    determinant of wtg_matrix.
 
     Nonnegative (up to -1e-8 * scale) in any coherent space, with equality
     exactly on rank-one kernels such as schur("mobius").  The equality case
     is why closed forms are preferred when the space has them: finite
     differences carry ~1e-6 noise, which lands on either side of an exact
-    zero.  method="fd" forces the definitional evaluation.
+    zero.
     """
-    if method == "fd" or (method == "auto" and not _closed_available(space, z)):
-        lr = fd_LR(space, z, X, X).real
-        th = _fd_theta(space, z, X)
-    else:
-        lr = complex(space.mixed_form(z, X, X)).real
-        th = complex(space.theta_form(z, X))
-    k = space.kernel(z, z).real
-    return k * lr - abs(th) ** 2
-
-
-def wtg_matrix(space, z, X, method="auto"):
-    """2x2 matrix [[K, R_X K], [L_X K, L_X R_X K]] at (z, z); PSD for any X.
-
-    Closed-form entries when available (see infinitesimal_cs_margin for
-    why), FD otherwise.
-    """
-    if method == "fd" or (method == "auto" and not _closed_available(space, z)):
-        th = _fd_theta(space, z, X)
-        lr = fd_LR(space, z, X, X)
-    else:
-        th = complex(space.theta_form(z, X))
-        lr = complex(space.mixed_form(z, X, X))
-    k = space.kernel(z, z)
-    return np.array([[k, th], [np.conj(th), lr]], dtype=complex)
+    m = wtg_matrix(space, z, X)
+    return m[..., 0, 0].real * m[..., 1, 1].real - np.abs(m[..., 0, 1]) ** 2
 
 
 @dataclass
@@ -813,7 +789,7 @@ def potential_inequality_check(space, z, X, h=None):
     equality, so the noise floor has to sit well below 1e-6.
     """
     if h is None:
-        h = 1e-4 * _point_scale(z)
+        h = 1e-4 * _point_scale(space, z)
 
     def pot(a, b):
         k = space.kernel(a, b)
@@ -856,7 +832,7 @@ def commutation_check(space, z, zp, X, Y, h=None):
     the first-derivative oracle, whose roundoff would drown the bound.
     """
     if h is None:
-        h = 1e-4 * max(_point_scale(z), _point_scale(zp))
+        h = 1e-4 * max(_point_scale(space, z), _point_scale(space, zp))
     h_in = 0.7 * h
 
     def lr(step_l, step_r):

@@ -82,9 +82,9 @@ class CoherentSpace:
     Subclasses implement ``kernel`` as one numpy expression that
     broadcasts over stacked leading axes of its two labels, so a Gram
     matrix is ``kernel(P[:, None], P[None])``; a single pair gives a
-    complex scalar.  Points are plain Python or numpy scalars for
-    one-dimensional charts and numpy arrays otherwise; tangent vectors
-    share the point's shape.
+    complex scalar.  Points are plain Python or numpy scalars on scalar
+    charts and coordinate vectors otherwise, stacked along leading axes
+    with the coordinate axis last; tangent vectors share the point's shape.
 
     Attributes
     ----------
@@ -95,12 +95,16 @@ class CoherentSpace:
     complex_chart : bool
         Whether chart coordinates are complex.  Real charts (Euclidean,
         reciprocal) expect real tangents.
+    scalar_chart : bool
+        Whether a label is a scalar rather than a coordinate vector, so
+        that a stack of labels has no coordinate axis.
     """
 
     space_id = "coherent"
     nondegenerate_claim = True
     coord_len = 1
     complex_chart = True
+    scalar_chart = False
 
     # -- kernel -----------------------------------------------------------
 
@@ -138,29 +142,38 @@ class CoherentSpace:
 
     # -- sampling ----------------------------------------------------------
 
-    def sample_point(self, rng):
+    def sample_points(self, rng, n):
+        """Stacked array of ``n`` points drawn from ``rng``."""
         raise NotImplementedError
+
+    def sample_point(self, rng):
+        """One point, drawn as ``sample_points(rng, 1)`` draws it."""
+        return self.sample_points(rng, 1)[0]
 
     def sample_tangent(self, z, rng):
         raise NotImplementedError
 
-    def sample_points(self, rng, n):
-        """Stacked array of ``n`` sampled points (vectorized per space)."""
-        return np.asarray([self.sample_point(rng) for _ in range(n)])
-
     # -- optional closed-form geometry (filled in by catalog spaces) -------
 
     def theta_form(self, z, X):
-        """Closed form of R_X K(z,z), when the space has one."""
+        """Closed form of R_X K(z,z), when the space has one.
+
+        Broadcasts like ``kernel``: labels and tangents stack along leading
+        axes and the result has their broadcast stack shape; a single case
+        is the 0-d instance of the same expression.
+        """
         raise NotImplementedError
 
     def mixed_form(self, z, X, Y):
-        """Closed form of L_X R_Y K(z,z), when the space has one."""
+        """Closed form of L_X R_Y K(z,z), when the space has one; broadcasts
+        like ``theta_form``."""
         raise NotImplementedError
 
     def has_closed_geometry(self, z):
-        """Whether closed-form geometry is available at ``z``."""
-        return False
+        """Whether the closed forms hold at ``z``: one bool for every label,
+        or a bool array of the stack shape of ``z``.  By default they hold
+        everywhere if the space defines ``theta_form``, and nowhere else."""
+        return type(self).theta_form is not CoherentSpace.theta_form
 
     def __repr__(self):
         return f"<{type(self).__name__} {self.space_id}>"
@@ -221,16 +234,20 @@ def psd_check(g, tol_rel=1e-10, tol_abs=1e-12):
     verdict is ``min_eig >= -tol_abs - tol_rel * max(1, max_eig)``.  The
     relative term matters because Hilbert-type Grams are severely
     ill-conditioned and an absolute-only tolerance misfires on them.
+
+    ``g`` may stack matrices along leading axes, shape (..., n, n); the
+    report's fields then have the stack shape.
     """
     g = np.asarray(g, dtype=complex)
-    if g.ndim != 2 or g.shape[0] != g.shape[1]:
+    if g.ndim < 2 or g.shape[-1] != g.shape[-2]:
         raise DomainError("gram matrix must be square")
-    herm_defect = float(np.max(np.abs(g - g.conj().T))) if g.size else 0.0
-    eigs = np.linalg.eigvalsh((g + g.conj().T) / 2.0)
-    mn, mx = float(eigs[0]), float(eigs[-1])
-    scale = max(1.0, float(np.max(np.abs(g)))) if g.size else 1.0
-    ok = mn >= -tol_abs - tol_rel * max(1.0, mx) and herm_defect <= 1e-12 * scale
-    return PsdReport(mn, mx, herm_defect, ok)
+    gh = np.conj(np.swapaxes(g, -1, -2))
+    herm_defect = np.max(np.abs(g - gh), axis=(-2, -1))
+    eigs = np.linalg.eigvalsh((g + gh) / 2.0)
+    mn, mx = eigs[..., 0], eigs[..., -1]
+    scale = np.maximum(1.0, np.max(np.abs(g), axis=(-2, -1)))
+    ok = (mn >= -tol_abs - tol_rel * np.maximum(1.0, mx)) & (herm_defect <= 1e-12 * scale)
+    return PsdReport(mn[()], mx[()], herm_defect[()], ok[()])
 
 
 def length(space, z):

@@ -35,7 +35,7 @@ from functools import lru_cache
 import numpy as np
 
 from .core import MAX_SIZE, DegenerateFormError, DomainError
-from .catalog import fd_LR
+from .catalog import fd_LR, one_form_theta
 from .fock import gen_block, osc_act, osc_from_block
 
 __all__ = [
@@ -200,7 +200,8 @@ def propagate_ode(space, ham, z0, t_end, dt):
     product with the transposed block generator -(i/hbar) gen_block(gen).
     Classical specs use the Euler-Lagrange field (see el_integrate).  If a
     step leaves the space's domain the trajectory is returned truncated at
-    the last valid point, with meta["aborted"] set.
+    the last valid point, with meta["aborted"] set.  Each stored point
+    owns its data.
     """
     if dt <= 0 or t_end < 0:
         raise DomainError("need dt > 0 and t_end >= 0")
@@ -231,7 +232,8 @@ def propagate_ode(space, ham, z0, t_end, dt):
     for i in range(n_steps):
         try:
             y = _rk4_step(f, i * dt, y, dt)
-            pt = space.validate(_from_coords(space, y[:m], scalar))
+            # a copy, so that a stored point does not keep y alive
+            pt = space.validate(_from_coords(space, y[:m].copy(), scalar))
         except DomainError as err:
             meta["aborted"] = True
             meta["reason"] = str(err)
@@ -254,21 +256,27 @@ def autocorrelation(space, z, traj):
 # symplectic structure
 
 
+@lru_cache(maxsize=None)
+def _basis_pairs(m, scalar):
+    """Chart basis E stacked as the pairs (E_a, E_b) of every matrix entry,
+    for m coordinates (one scalar label if scalar).  Built once per chart
+    and shared, hence read-only."""
+    E = np.eye(m, dtype=complex)
+    if scalar:
+        E = E[0]
+    X, Y = E[:, None], E[None]
+    X.flags.writeable = Y.flags.writeable = False
+    return X, Y
+
+
 def _mixed_matrix(space, z):
-    if hasattr(space, "mixed_matrix"):
-        return space.mixed_matrix(z)
-    m = space.coord_len
-    arr, scalar = _coords(space, z)
-    basis = [1.0 + 0j] if scalar else list(np.eye(m, dtype=complex))
-    H = np.empty((m, m), dtype=complex)
-    use_closed = space.has_closed_geometry(z)
-    for a, X in enumerate(basis):
-        for b, Y in enumerate(basis):
-            if use_closed:
-                H[a, b] = space.mixed_form(z, X, Y)
-            else:
-                H[a, b] = fd_LR(space, z, X, Y)
-    return H
+    """Hm[a, b] = L_{E_a} R_{E_b} K(z, z) over the chart basis E: one
+    mixed_form call on the stacked basis pairs, or one stacked fd_LR call
+    where the space has no closed geometry at z."""
+    X, Y = _basis_pairs(space.coord_len, space.scalar_chart)
+    if space.has_closed_geometry(z):
+        return space.mixed_form(z, X, Y)
+    return fd_LR(space, z, X, Y)
 
 
 def _real_chart_error(space):
@@ -360,26 +368,22 @@ def df_action(traj, ham, space):
 
     The velocity comes from centered differences of the stored points
     (second-order one-sided at the ends), so the action is a functional of
-    the trajectory alone.
+    the trajectory alone.  theta is one call on the whole trajectory; H
+    gets one label per call.
     """
-    from .catalog import one_form_theta
-
     if ham.H is None:
         raise DomainError("df_action needs a classical Hamiltonian")
     n = len(traj.points)
     if n < 100:
         raise DomainError("trajectory too coarse for the action integral")
     dt = float(traj.times[1] - traj.times[0])
-    coords = np.stack([_coords(space, p)[0] for p in traj.points])
+    Z = np.asarray(traj.points)
+    coords = np.asarray(Z, dtype=complex).reshape(n, -1)
     vel = np.empty_like(coords)
     vel[1:-1] = (coords[2:] - coords[:-2]) / (2.0 * dt)
     vel[0] = (-3.0 * coords[0] + 4.0 * coords[1] - coords[2]) / (2.0 * dt)
     vel[-1] = (3.0 * coords[-1] - 4.0 * coords[-2] + coords[-3]) / (2.0 * dt)
 
-    scalar = np.ndim(traj.points[0]) == 0
-    lag = np.empty(n, dtype=complex)
-    for i, z in enumerate(traj.points):
-        zdot = complex(vel[i][0]) if scalar else vel[i]
-        th = one_form_theta(space, z, zdot)
-        lag[i] = 1j * ham.hbar * th - complex(ham.H(z))
+    th = one_form_theta(space, Z, vel.reshape(Z.shape))
+    lag = 1j * ham.hbar * th - np.array([complex(ham.H(z)) for z in traj.points])
     return complex(np.trapezoid(lag, dx=dt))

@@ -168,6 +168,58 @@ def test_gram_is_one_broadcast_kernel_call(space, rng):
             assert g[j, k] == space.kernel(P[j], P[k])
 
 
+def _stacked_cases(space, rng, n):
+    Z = space.sample_points(rng, n)
+    X = np.asarray([space.sample_tangent(z, rng) for z in Z])
+    Y = np.asarray([space.sample_tangent(z, rng) for z in Z])
+    return Z, X, Y
+
+
+def _assert_stack_matches_single_cases(space, Z, X, Y):
+    K = space.kernel
+    th_R, lr = fd_R(space, K, Z, Z, X), fd_LR(space, Z, X, Y)
+    th, mix = space.theta_form(Z, X), space.mixed_form(Z, X, Y)
+    rep = geometry_report(space, Z, X, Y)
+    margin, W = infinitesimal_cs_margin(space, Z, X), wtg_matrix(space, Z, X)
+    psd = psd_check(W, tol_rel=1e-7, tol_abs=1e-8)
+    assert th_R.shape == lr.shape == th.shape == mix.shape == margin.shape == (len(Z),)
+    assert W.shape == (len(Z), 2, 2) and psd.passed.shape == (len(Z),)
+    closed = np.broadcast_to(space.has_closed_geometry(Z), (len(Z),))
+    for i in range(len(Z)):
+        z, x, y = Z[i], X[i], Y[i]
+        # bit for bit
+        assert fd_R(space, K, z, z, x) == th_R[i]
+        assert fd_LR(space, z, x, y) == lr[i]
+        assert space.theta_form(z, x) == th[i]
+        assert space.mixed_form(z, x, y) == mix[i]
+        one = geometry_report(space, z, x, y)
+        for name in ("g_closed", "g_fd", "theta_closed", "theta_fd", "omega_closed", "omega_fd"):
+            assert getattr(one, name) == getattr(rep, name)[i], name
+        assert one.rel_discrepancies == tuple(r[i] for r in rep.rel_discrepancies)
+        assert one.provenance == ("closed" if closed[i] else "fd")
+        assert infinitesimal_cs_margin(space, z, x) == margin[i]
+        assert np.array_equal(wtg_matrix(space, z, x), W[i])
+        p = psd_check(W[i], tol_rel=1e-7, tol_abs=1e-8)
+        assert (p.min_eigenvalue, p.max_eigenvalue, p.hermiticity_defect, p.passed) == (
+            psd.min_eigenvalue[i], psd.max_eigenvalue[i], psd.hermiticity_defect[i],
+            psd.passed[i])
+
+
+def test_geometry_stack_matches_single_cases(space, rng):
+    _assert_stack_matches_single_cases(space, *_stacked_cases(space, rng, 50))
+
+
+def test_debranges_geometry_stack_mixes_closed_and_fd_cases(rng):
+    sp = make_space("debranges", preset="exp")
+    Z, X, Y = _stacked_cases(sp, rng, 50)
+    Z[[3, 17, 41]] = 0.5 + 1e-6j
+    assert list(np.flatnonzero(~sp.has_closed_geometry(Z))) == [3, 17, 41]
+    _assert_stack_matches_single_cases(sp, Z, X, Y)
+    rep = geometry_report(sp, Z, X, Y)
+    assert rep.provenance == "mixed"
+    assert rep.g_closed[3] == rep.g_fd[3] and rep.rel_discrepancies[0][3] == 0.0
+
+
 def test_debranges_stack_mixes_diagonal_and_far_pairs():
     sp = make_space("debranges", preset="damped-linear")
     x = 0.8

@@ -6,12 +6,13 @@ import numpy as np
 import pytest
 
 from cohk.core import DegenerateFormError, DomainError
-from cohk.catalog import make_space, space_names
+from cohk.catalog import fd_LR, make_space, space_names
 from cohk.dynamics import (
     HamiltonianSpec,
     Trajectory,
     _coords,
     _grad,
+    _mixed_matrix,
     autocorrelation,
     df_action,
     el_integrate,
@@ -121,6 +122,17 @@ def test_norm_conserved_for_self_adjoint_drive():
     norms = [abs(klauder_kernel(pt, pt)) for pt in traj.points[:: 400]]
     ref = abs(klauder_kernel(Z0, Z0))
     assert max(abs(n - ref) for n in norms) <= 1e-8 * ref
+
+
+@pytest.mark.parametrize("ham", [_harmonic_ham(), HamiltonianSpec(H=quadratic_H)],
+                         ids=["oscillator", "classical"])
+def test_trajectory_points_own_their_data(ham):
+    # a point that is a view keeps the whole step array behind it alive
+    traj = propagate_ode(make_space("klauder", dim=1), ham, Z0, 0.05, 1e-2)
+    assert len(traj) == 6
+    assert all(p.base is None for p in traj.points)
+    assert not any(np.shares_memory(p, q) for i, p in enumerate(traj.points)
+                   for q in traj.points[:i])
 
 
 def test_autocorrelation_harmonic_closed_form():
@@ -442,3 +454,16 @@ def test_el_field_degenerate_wherever_the_symplectic_matrix_is():
                 assert got == want, z
                 degenerate += want
     assert 0 < degenerate < 84
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_klauder_mixed_matrix_is_the_stacked_basis(dim):
+    space = make_space("klauder", dim=dim)
+    E = np.eye(dim + 1, dtype=complex)
+    for z in space.sample_points(np.random.default_rng(SEED), 10):
+        Hm = _mixed_matrix(space, z)
+        k = space.kernel(z, z).real
+        for a in range(dim + 1):
+            for b in range(dim + 1):
+                assert Hm[a, b] == space.mixed_form(z, E[a], E[b])  # bit for bit
+                assert abs(Hm[a, b] - fd_LR(space, z, E[a], E[b])) <= 1e-7 * k
