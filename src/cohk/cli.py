@@ -563,12 +563,10 @@ def _whole(traj):
 
 
 def _traj_csv(ctx, name, traj):
-    coords = np.stack([np.atleast_1d(np.asarray(pt, dtype=complex))
-                       for pt in traj.points])
     header = ["t"]
-    for j in range(coords.shape[1]):
+    for j in range(ctx.space.coord_len):
         header += [f"re{j}", f"im{j}"]
-    _write_csv(ctx.outdir, name, header, _complex_rows(traj.times, coords), ctx.files)
+    _write_csv(ctx.outdir, name, header, _complex_rows(traj.times, traj.points), ctx.files)
 
 
 def _run_dynamics(ctx):
@@ -583,7 +581,7 @@ def _run_dynamics(ctx):
                _complex_rows(series.times, series.values), ctx.files)
 
     exact = _flow_points(gen, z0, len(traj.points) - 1, dt, ham.hbar)
-    err = float(np.max(np.abs(np.stack(traj.points) - exact)))
+    err = float(np.max(np.abs(traj.points - exact)))
     checks = [_check_le("max_coordinate_error", err, p["err_tol"])]
 
     adj = gen.adjoint()
@@ -593,8 +591,7 @@ def _run_dynamics(ctx):
         and np.allclose(gen.X, adj.X, atol=1e-12)
     )
     if self_adjoint:
-        pts = np.stack(traj.points)
-        norms = ctx.space.kernel(pts, pts).real
+        norms = ctx.space.kernel(traj.points, traj.points).real
         drift = float(np.max(np.abs(norms - norms[0])) / norms[0])
         checks.append(_check_le("norm_drift_rel", drift, p["norm_tol"]))
     return checks
@@ -659,10 +656,11 @@ def _run_resolvent(ctx):
 
 
 def _quadratic_energy(space):
-    """H(z) = K(z,z) |zhat|^2, the matrix element of the number operator."""
+    """H(z) = K(z,z) |zhat|^2, the matrix element of the number operator,
+    broadcast over labels stacked along leading axes."""
 
     def H(z):
-        return space.kernel(z, z).real * np.vdot(z[1:], z[1:]).real
+        return space.kernel(z, z).real * np.vecdot(z[..., 1:], z[..., 1:]).real
 
     return H
 
@@ -673,7 +671,7 @@ def _run_df_propagate(ctx):
     t_end, dt = _horizon(p)
     if np.all(np.abs(np.asarray(z0)[1:]) < 1e-12):
         raise ConfigError("params.z0: the orbit angle needs a nonzero mode coordinate")
-    ham = HamiltonianSpec(H=_quadratic_energy(ctx.space))
+    ham = HamiltonianSpec(H=_quadratic_energy(ctx.space), stacked=True)
     traj = _whole(el_integrate(ctx.space, ham, z0, t_end, dt))
     _traj_csv(ctx, "trajectory.csv", traj)
     t_fin = float(traj.times[-1])
@@ -701,7 +699,7 @@ def _run_df_propagate(ctx):
         amps = np.sin(np.pi * np.arange(n) / (n - 1))
 
         def action_at(epsv):
-            pts = [base.points[i] + epsv * amps[i] * bump for i in range(n)]
+            pts = base.points + epsv * amps[:, None] * bump
             return df_action(Trajectory(base.times, pts), ham, ctx.space)
 
         d1 = abs(action_at(0.02) - s0)

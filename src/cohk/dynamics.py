@@ -56,8 +56,11 @@ __all__ = [
 
 @dataclass
 class Trajectory:
+    """Labels at uniform times, stacked in the space's ``stack`` form: an
+    ``(n, m)`` array on vector charts, ``(n,)`` on scalar charts."""
+
     times: np.ndarray
-    points: list
+    points: np.ndarray
     meta: dict = field(default_factory=dict)
 
     def __len__(self):
@@ -86,14 +89,19 @@ class HamiltonianSpec:
     """One of: an oscillator generator, a label field F(t, z) with
     i hbar z' = F, or a classical scalar H(z).
 
-    F and H get one label per call, in the space's own form (a complex or
-    real scalar on scalar charts), and need not accept stacked labels.
+    F gets one label per call, in the space's own form (a complex or real
+    scalar on scalar charts).  So does H, unless ``stacked`` declares that
+    it broadcasts over labels stacked along leading axes, as
+    ``CoherentSpace.kernel`` does, returning one value per label; the
+    integrators then call it once on a whole gradient stencil or
+    trajectory.
     """
 
     gen: object = None
     F: object = None
     H: object = None
     hbar: float = 1.0
+    stacked: bool = False
 
     def __post_init__(self):
         if self.hbar <= 0:
@@ -160,6 +168,17 @@ def _from_coords(space, arr, scalar):
     return np.asarray(arr).real.copy()
 
 
+def _stacked_values(H, Z, shape):
+    """Values of the stacked H on the labels Z, which stack along ``shape``.
+    A result of any other shape raises DomainError: numpy would broadcast
+    it into wrong values."""
+    vals = np.asarray(H(Z), dtype=complex)
+    if vals.shape != shape:
+        raise DomainError(f"stacked H returned shape {vals.shape} for labels "
+                          f"stacked as {shape}")
+    return vals
+
+
 @lru_cache(maxsize=None)
 def _realifier(m):
     """D and D* for m chart coordinates: row j of D sends coordinate j to
@@ -200,8 +219,9 @@ def propagate_ode(space, ham, z0, t_end, dt):
     product with the transposed block generator -(i/hbar) gen_block(gen).
     Classical specs use the Euler-Lagrange field (see el_integrate).  If a
     step leaves the space's domain the trajectory is returned truncated at
-    the last valid point, with meta["aborted"] set.  Each stored point
-    owns its data.
+    the last valid point, with meta["aborted"] set.  The points are one
+    array that owns its data, filled row by row with the validated labels;
+    a truncated trajectory is a copy of the rows it reached.
     """
     if dt <= 0 or t_end < 0:
         raise DomainError("need dt > 0 and t_end >= 0")
@@ -225,27 +245,28 @@ def propagate_ode(space, ham, z0, t_end, dt):
                                             dtype=complex))
     else:
         def f(t, y):
-            return _el_velocity(space, ham.H, y, scalar, ham.hbar)
+            return _el_velocity(space, ham.H, y, scalar, ham.hbar, stacked=ham.stacked)
 
-    points = [z0]
+    # np.empty commits memory only for the rows a run reaches
+    points = np.empty((n_steps + 1,) + np.shape(z0), dtype=np.asarray(z0).dtype)
+    points[0] = z0
     meta = {"integrator": "rk4", "dt": dt, "aborted": False}
     for i in range(n_steps):
         try:
             y = _rk4_step(f, i * dt, y, dt)
-            # a copy, so that a stored point does not keep y alive
-            pt = space.validate(_from_coords(space, y[:m].copy(), scalar))
+            points[i + 1] = space.validate(_from_coords(space, y[:m], scalar))
         except DomainError as err:
             meta["aborted"] = True
             meta["reason"] = str(err)
+            points = points[: i + 1].copy()
             break
-        points.append(pt)
     times = dt * np.arange(len(points))
     return Trajectory(times, points, meta)
 
 
 def autocorrelation(space, z, traj):
     """K_t(z, z') sampled along a trajectory of z'."""
-    Z = space.stack(traj.points)
+    Z = np.asarray(traj.points)
     zz = space.stack([z])[0]
     vals = np.asarray(space.kernel(zz, Z), dtype=complex)
     dt = float(traj.times[1] - traj.times[0]) if len(traj) > 1 else 0.0
@@ -296,20 +317,23 @@ def symplectic_matrix(space, z):
     return A
 
 
-def _grad(space, f, arr, scalar, h=None):
-    """Central-difference gradient of the one-label callable f in realified
-    coordinates, at chart coordinates arr: the 2 * 2m stencil labels are
-    built as one array and f is called once per label."""
+def _grad(space, f, arr, scalar, h=None, stacked=False):
+    """Central-difference gradient of f in realified coordinates, at chart
+    coordinates arr: the 2 * 2m stencil labels are built as one array, and
+    f is called once on it if ``stacked``, else once per label."""
     if h is None:
         h = 1e-6 * max(1.0, float(np.linalg.norm(arr)))
     steps = h * _real_basis(space)
     stencil = np.concatenate([arr + steps, arr - steps])
-    vals = np.array([complex(f(_from_coords(space, y, scalar))) for y in stencil])
+    if stacked:  # only the EL field passes it, and only on complex charts
+        vals = _stacked_values(f, stencil[:, 0] if scalar else stencil, stencil.shape[:1])
+    else:
+        vals = np.array([complex(f(_from_coords(space, y, scalar))) for y in stencil])
     n = len(steps)
     return (vals[:n] - vals[n:]) / (2.0 * h)
 
 
-def _el_velocity(space, H, y, scalar, hbar, h=None):
+def _el_velocity(space, H, y, scalar, hbar, h=None, stacked=False):
     """Chart velocity of the Euler-Lagrange field at chart coordinates y:
     z' = -(i/hbar) Hm^{-1} g with g = (w[0::2] + i w[1::2]) / 2, solved as
     (Hm + Hm*)^{-1} (2 g) from one eigendecomposition that also decides
@@ -325,7 +349,7 @@ def _el_velocity(space, H, y, scalar, hbar, h=None):
     if np.isfinite(S).all():
         lam, V = np.linalg.eigh(S)
         if np.isfinite(lam).all() and 0.0 < lam[0] and lam[-1] < 1e12 * lam[0]:
-            w = _grad(space, H, y, scalar, h)
+            w = _grad(space, H, y, scalar, h, stacked)
             g2 = w[0::2] + 1j * w[1::2]
             return (-1j / hbar) * (V @ ((V.conj().T @ g2) / lam))
     raise DegenerateFormError(f"coherent 2-form degenerate at z = {z!r}")
@@ -368,8 +392,9 @@ def df_action(traj, ham, space):
 
     The velocity comes from centered differences of the stored points
     (second-order one-sided at the ends), so the action is a functional of
-    the trajectory alone.  theta is one call on the whole trajectory; H
-    gets one label per call.
+    the trajectory alone.  theta is one call on the whole trajectory, and
+    so is H if the spec declares it stacked; otherwise H gets one label per
+    call.
     """
     if ham.H is None:
         raise DomainError("df_action needs a classical Hamiltonian")
@@ -385,5 +410,9 @@ def df_action(traj, ham, space):
     vel[-1] = (3.0 * coords[-1] - 4.0 * coords[-2] + coords[-3]) / (2.0 * dt)
 
     th = one_form_theta(space, Z, vel.reshape(Z.shape))
-    lag = 1j * ham.hbar * th - np.array([complex(ham.H(z)) for z in traj.points])
+    if ham.stacked:
+        energy = _stacked_values(ham.H, Z, (n,))
+    else:
+        energy = np.array([complex(ham.H(z)) for z in traj.points])
+    lag = 1j * ham.hbar * th - energy
     return complex(np.trapezoid(lag, dx=dt))

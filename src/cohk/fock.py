@@ -64,8 +64,9 @@ def _klauder_exponent(z, zp):
     the one exponent behind KlauderSpace.kernel and klauder_kernel.
 
     ``[()]`` turns the 0-d head of a single label into a numpy scalar, so a
-    single pair stays on numpy's fast scalar arithmetic: el_integrate makes
-    about 36 single-pair calls per RK4 step.
+    single pair stays on numpy's fast scalar arithmetic: an el_integrate RK4
+    step makes 4 single-label calls (the mixed matrix of each stage) plus 4
+    calls on a gradient stencil stack.
     """
     return np.conj(z[..., 0]) + zp[..., 0][()] + np.vecdot(z[_MODES], zp[_MODES])
 

@@ -7,6 +7,7 @@ import pytest
 
 from cohk.core import DegenerateFormError, DomainError
 from cohk.catalog import fd_LR, make_space, space_names
+from cohk.cli import _quadratic_energy
 from cohk.dynamics import (
     HamiltonianSpec,
     Trajectory,
@@ -34,6 +35,11 @@ def _number_op(n=1):
 
 def _harmonic_ham():
     return HamiltonianSpec(gen=_number_op())
+
+
+def _overflowing_ham():
+    """Growth e^{512 t}: RK4 at dt = 1/64 overflows after about 125 steps."""
+    return HamiltonianSpec(gen=OscGenerator(0.0, np.zeros(1), np.zeros(1), np.array([[512j]])))
 
 
 Z0 = np.array([-0.5, 1.0], dtype=complex)
@@ -124,15 +130,29 @@ def test_norm_conserved_for_self_adjoint_drive():
     assert max(abs(n - ref) for n in norms) <= 1e-8 * ref
 
 
-@pytest.mark.parametrize("ham", [_harmonic_ham(), HamiltonianSpec(H=quadratic_H)],
-                         ids=["oscillator", "classical"])
-def test_trajectory_points_own_their_data(ham):
-    # a point that is a view keeps the whole step array behind it alive
-    traj = propagate_ode(make_space("klauder", dim=1), ham, Z0, 0.05, 1e-2)
-    assert len(traj) == 6
-    assert all(p.base is None for p in traj.points)
-    assert not any(np.shares_memory(p, q) for i, p in enumerate(traj.points)
-                   for q in traj.points[:i])
+def _assert_one_owned_array(traj):
+    # a view would keep the whole preallocated step buffer alive behind a
+    # truncated trajectory
+    assert isinstance(traj.points, np.ndarray)
+    assert len(traj.points) == len(traj.times)
+    assert traj.points.base is None
+    assert not np.shares_memory(traj.points, traj.times)
+
+
+@pytest.mark.parametrize("ham, t_end, dt, steps", [
+    (_harmonic_ham(), 0.05, 1e-2, 5),
+    (HamiltonianSpec(H=quadratic_H), 0.05, 1e-2, 5),
+    (_overflowing_ham(), 4.0, 1.0 / 64, None),
+], ids=["oscillator", "classical", "aborted"])
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_trajectory_points_own_their_data(ham, t_end, dt, steps):
+    traj = propagate_ode(make_space("klauder", dim=1), ham, Z0, t_end, dt)
+    _assert_one_owned_array(traj)
+    assert traj.points.shape[1:] == Z0.shape
+    if steps is None:
+        assert traj.meta["aborted"] and 2 < len(traj) < round(t_end / dt)
+    else:
+        assert len(traj) == steps + 1
 
 
 def test_autocorrelation_harmonic_closed_form():
@@ -145,6 +165,14 @@ def test_autocorrelation_harmonic_closed_form():
     assert series.z == pytest.approx(Z0)
 
 
+def _assert_aborted_cleanly(traj, t_last, reason):
+    assert traj.meta["aborted"]
+    assert reason in traj.meta["reason"]
+    assert 0.0 < traj.times[-1] <= t_last
+    assert np.all(np.isfinite(traj.points.view(float)))
+    _assert_one_owned_array(traj)
+
+
 def test_propagate_aborts_cleanly_on_domain_error():
     space = make_space("klauder")
 
@@ -154,9 +182,13 @@ def test_propagate_aborts_cleanly_on_domain_error():
         return np.array([0.0, -1j * z[1]])
 
     traj = propagate_ode(space, HamiltonianSpec(F=field), Z0, 2.0, 0.01)
-    assert traj.meta["aborted"]
-    assert traj.times[-1] <= 0.52
-    assert np.all(np.isfinite(np.asarray(traj.points[-1]).view(float)))
+    _assert_aborted_cleanly(traj, 0.52, "left the chart")
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_propagate_aborts_cleanly_on_oscillator_overflow():
+    traj = propagate_ode(make_space("klauder"), _overflowing_ham(), Z0, 4.0, 1.0 / 64)
+    _assert_aborted_cleanly(traj, 2.5, "non-finite")
 
 
 def test_hamiltonian_spec_wants_exactly_one_generator():
@@ -311,6 +343,37 @@ def test_time_reversal_recovers_the_start():
     neg = HamiltonianSpec(H=lambda z: -quadratic_H(z))
     back = el_integrate(space, neg, fwd.points[-1], 1.0, 1e-3)
     assert np.abs(back.points[-1] - Z0).max() < 1e-6
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_stacked_hamiltonian_is_bitwise_the_per_label_one(dim):
+    # one H call on the whole stencil or trajectory evaluates the same
+    # expression on the same labels as one call per label
+    space = make_space("klauder", dim=dim)
+    z0 = space.sample_point(np.random.default_rng(SEED))
+    Hv = _quadratic_energy(space)
+    runs = []
+    for stacked in (True, False):
+        ham = HamiltonianSpec(H=Hv, stacked=stacked)
+        traj = el_integrate(space, ham, z0, 0.5, 5e-3)
+        runs.append((traj.points, df_action(traj, ham, space)))
+    (pts_s, act_s), (pts_1, act_1) = runs
+    assert len(pts_s) == 101
+    assert np.array_equal(pts_s, pts_1)
+    assert act_s == act_1
+
+
+def test_stacked_hamiltonian_must_give_one_value_per_label():
+    space = make_space("klauder")
+    ham = HamiltonianSpec(H=lambda Z: 1.0, stacked=True)
+    # the DomainError ends the run at its first stage, as any DomainError
+    # raised inside a step does
+    stopped = el_integrate(space, ham, Z0, 0.1, 1e-2)
+    assert stopped.meta["aborted"] and len(stopped) == 1
+    assert stopped.meta["reason"] == "stacked H returned shape () for labels stacked as (8,)"
+    traj = el_integrate(space, HamiltonianSpec(H=quadratic_H), Z0, 0.5, 5e-3)
+    with pytest.raises(DomainError, match=r"shape \(\) for labels stacked as \(101,\)"):
+        df_action(traj, ham, space)
 
 
 # ---------------------------------------------------------------------------
