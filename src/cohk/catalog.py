@@ -73,17 +73,64 @@ __all__ = [
 
 
 def _finite(arr):
-    return bool(np.all(np.isfinite(np.atleast_1d(arr).view(float))))
+    return bool(np.isfinite(arr).all())
+
+
+class _CatalogSpace(CoherentSpace):
+    """A catalog space: one broadcasting domain check for one label or a stack.
+
+    A label is converted to the chart's dtype and form and must be finite;
+    ``_outside`` then flags, elementwise over labels stacked along leading
+    axes, those that lie outside the space's region.  ``validate`` runs it
+    on one label and ``stack`` once on the whole stack.
+    """
+
+    def _outside(self, Z):
+        """True where a finite label of the stack ``Z`` lies outside the
+        domain (elementwise; a single label gives one bool)."""
+        return False
+
+    def stack(self, points):
+        # numpy kinds whose cast to the chart dtype is the per-label one
+        kinds = "biufc" if self.complex_chart else "biuf"
+        shape = () if self.scalar_chart else (self.coord_len,)
+        try:
+            Z = np.asarray(points)
+        except (TypeError, ValueError, OverflowError):  # e.g. a ragged list
+            Z = None
+        # an empty stack is left to the loop too: it gives float64, shape (0,)
+        if (Z is not None and Z.dtype.kind in kinds and Z.ndim == len(shape) + 1
+                and Z.shape[1:] == shape and len(Z)):
+            Z = Z.astype(complex if self.complex_chart else float, order="C")
+            if _finite(Z) and not np.any(self._outside(Z)):
+                return Z
+        # the per-label loop raises the first bad label's own error
+        return super().stack(points)
 
 
 # ---------------------------------------------------------------------------
 # vector-chart spaces
 
 
-class EuclideanSpace(CoherentSpace):
+class _VectorSpace(_CatalogSpace):
+    _label_form = "a complex vector"
+
+    def validate(self, z):
+        z = np.asarray(z, dtype=complex if self.complex_chart else float)
+        if z.shape != (self.coord_len,):
+            raise DomainError(f"expected {self._label_form} of length {self.coord_len}")
+        if not _finite(z):
+            raise DomainError("non-finite coordinates")
+        if self._outside(z):
+            raise DomainError(self._outside_msg)
+        return z
+
+
+class EuclideanSpace(_VectorSpace):
     """R^n with the bilinear kernel K(z, z') = z^T z' (no conjugation)."""
 
     complex_chart = False
+    _label_form = "a real vector"
 
     def __init__(self, dim):
         if dim < 1:
@@ -94,14 +141,6 @@ class EuclideanSpace(CoherentSpace):
 
     def kernel(self, z, zp):
         return np.vecdot(z, zp, dtype=complex)
-
-    def validate(self, z):
-        z = np.asarray(z, dtype=float)
-        if z.shape != (self.dim,):
-            raise DomainError(f"expected a real vector of length {self.dim}")
-        if not _finite(z):
-            raise DomainError("non-finite coordinates")
-        return z
 
     def sample_points(self, rng, n):
         return rng.normal(size=(n, self.dim))
@@ -117,7 +156,7 @@ class EuclideanSpace(CoherentSpace):
         return self.kernel(X, Y)
 
 
-class HermitianSpace(CoherentSpace):
+class HermitianSpace(_VectorSpace):
     """C^n with the sesquilinear kernel K(z, z') = z* z'."""
 
     def __init__(self, dim):
@@ -129,14 +168,6 @@ class HermitianSpace(CoherentSpace):
 
     def kernel(self, z, zp):
         return np.vecdot(z, zp)
-
-    def validate(self, z):
-        z = np.asarray(z, dtype=complex)
-        if z.shape != (self.dim,):
-            raise DomainError(f"expected a complex vector of length {self.dim}")
-        if not _finite(z):
-            raise DomainError("non-finite coordinates")
-        return z
 
     def sample_points(self, rng, n):
         sh = (n, self.dim)
@@ -162,19 +193,14 @@ class UnitSphereSpace(HermitianSpace):
     Re(z* X) = 0.
     """
 
+    _outside_msg = "point is not on the unit sphere"
+
     def __init__(self, dim):
         super().__init__(dim)
         self.space_id = f"sphere({dim})"
 
-    def validate(self, z):
-        z = np.asarray(z, dtype=complex)
-        if z.shape != (self.dim,):
-            raise DomainError(f"expected a complex vector of length {self.dim}")
-        if not _finite(z):
-            raise DomainError("non-finite coordinates")
-        if abs(np.vdot(z, z).real - 1.0) > 1e-12:
-            raise DomainError("point is not on the unit sphere")
-        return z
+    def _outside(self, Z):
+        return np.abs(np.vecdot(Z, Z).real - 1.0) > 1e-12
 
     def chart_path(self, z, X, t):
         w = super().chart_path(z, X, t)
@@ -189,12 +215,14 @@ class UnitSphereSpace(HermitianSpace):
         return X - z * np.vdot(z, X).real
 
 
-class KlauderSpace(CoherentSpace):
+class KlauderSpace(_VectorSpace):
     """C x C^n with K(z, z') = exp(conj(z0) + z0' + zhat* zhat').
 
     Points are flat complex arrays [z0, zhat_1, ..., zhat_n]; the completed
     span of its coherent states is the bosonic Fock space over C^n.
     """
+
+    _label_form = "[z0, zhat] as a complex vector"
 
     def __init__(self, dim):
         if dim < 1:
@@ -205,16 +233,6 @@ class KlauderSpace(CoherentSpace):
 
     def kernel(self, z, zp):
         return np.exp(_klauder_exponent(z, zp))
-
-    def validate(self, z):
-        z = np.asarray(z, dtype=complex)
-        if z.shape != (self.coord_len,):
-            raise DomainError(
-                f"expected [z0, zhat] as a complex vector of length {self.coord_len}"
-            )
-        if not _finite(z):
-            raise DomainError("non-finite coordinates")
-        return z
 
     def sample_points(self, rng, n):
         sh = (n, self.coord_len)
@@ -256,9 +274,18 @@ def _drop(k):
     return k[..., 0][()]
 
 
-class _ScalarSpace(CoherentSpace):
+class _ScalarSpace(_CatalogSpace):
     coord_len = 1
     scalar_chart = True
+    _nonfinite_msg = "non-finite coordinate"
+
+    def validate(self, z):
+        z = complex(z) if self.complex_chart else float(z)
+        if not cmath.isfinite(z):
+            raise DomainError(self._nonfinite_msg)
+        if self._outside(z):
+            raise DomainError(self._outside_msg)
+        return z
 
     def sample_tangent(self, z, rng):
         return complex(rng.normal() + 1j * rng.normal()) / math.sqrt(2)
@@ -268,6 +295,7 @@ class ReciprocalSpace(_ScalarSpace):
     """Positive half-line with K(z, z') = 1 / (z + z') (Hilbert-matrix kernel)."""
 
     complex_chart = False
+    _nonfinite_msg = _outside_msg = "reciprocal points are strictly positive reals"
 
     def __init__(self):
         self.space_id = "reciprocal"
@@ -275,11 +303,8 @@ class ReciprocalSpace(_ScalarSpace):
     def kernel(self, z, zp):
         return 1.0 / (z + zp) + 0j
 
-    def validate(self, z):
-        z = float(z)
-        if not math.isfinite(z) or z <= 0.0:
-            raise DomainError("reciprocal points are strictly positive reals")
-        return z
+    def _outside(self, Z):
+        return Z <= 0.0
 
     def sample_points(self, rng, n):
         return rng.uniform(0.4, 2.5, size=n)
@@ -297,6 +322,8 @@ class ReciprocalSpace(_ScalarSpace):
 class SzegoSpace(_ScalarSpace):
     """Open unit disk with the Szego kernel K(z, z') = 1 / (1 - conj(z) z')."""
 
+    _outside_msg = "szego points lie in the open unit disk"
+
     def __init__(self):
         self.space_id = "szego"
 
@@ -304,13 +331,8 @@ class SzegoSpace(_ScalarSpace):
         u, w = _lift(z, zp)
         return _drop(1.0 / (1.0 - np.conj(u) * w))
 
-    def validate(self, z):
-        z = complex(z)
-        if not (math.isfinite(z.real) and math.isfinite(z.imag)):
-            raise DomainError("non-finite coordinate")
-        if abs(z) >= 1.0:
-            raise DomainError("szego points lie in the open unit disk")
-        return z
+    def _outside(self, Z):
+        return abs(Z) >= 1.0
 
     def sample_points(self, rng, n):
         r = rng.uniform(0.05, 0.75, size=n)
@@ -354,7 +376,8 @@ class SchurSpace(_ScalarSpace):
         u, w = _lift(z, zp)
         return _drop((1.0 - np.conj(self.s(u)) * self.s(w)) / (1.0 - np.conj(u) * w))
 
-    validate = SzegoSpace.validate
+    _outside_msg = SzegoSpace._outside_msg
+    _outside = SzegoSpace._outside
     sample_points = SzegoSpace.sample_points
 
     def theta_form(self, z, X):
@@ -387,13 +410,17 @@ class DeBrangesSpace(_ScalarSpace):
 
     with u = conj(z), w = z' and Ebar(x) = conj(E(conj(x))).  On the real
     axis the quotient degenerates; below |u - w| = 1e-8 a first-order Taylor
-    branch at the midpoint is used and Hermitized explicitly.  Closed-form
+    branch at the midpoint is used and Hermitized explicitly.  The quotient
+    is evaluated on every pair and the Taylor limit only on the pairs
+    within that cut, so a Gram pays for the limit on its near pairs alone.
+    A finite point is in the domain unless K(z, z) <= 0.  Closed-form
     derivatives use the quotient-rule expressions and need |Im z| >= 1e-4;
     elsewhere the finite-difference fallback takes over.
     """
 
     _diag_cut = 1e-8
     _closed_cut = 1e-4
+    _outside_msg = "K(z,z) <= 0: point outside the usable domain"
 
     def __init__(self, E, E_prime, preset=None):
         self.E = E
@@ -417,16 +444,19 @@ class DeBrangesSpace(_ScalarSpace):
     def _N(self, u, w):
         return self._Ebar(u) * self.E(w) - self.E(u) * self._Ebar(w)
 
+    def _limit(self, m):
+        return (self.E(m) * self._Ebar_prime(m) - self.E_prime(m) * self._Ebar(m)) / 2j
+
     def _one_sided(self, u, w):
-        # N / (2i (u - w)), or its limit at the midpoint m when u and w meet
+        # N / (2i (u - w)) on every pair, replaced by its limit at the
+        # midpoint on the pairs where u and w meet
         d = u - w
         near = np.abs(d) < self._diag_cut
-        m = (u + w) / 2.0
-        return np.where(
-            near,
-            (self.E(m) * self._Ebar_prime(m) - self.E_prime(m) * self._Ebar(m)) / 2j,
-            self._N(u, w) / (2j * np.where(near, 1.0, d)),
-        )
+        k = self._N(u, w) / (2j * np.where(near, 1.0, d))
+        if near.any():
+            un, wn = (np.broadcast_to(a, near.shape)[near] for a in (u, w))
+            k[near] = self._limit((un + wn) / 2.0)
+        return k
 
     def kernel(self, z, zp):
         u, w = _lift(z, zp)
@@ -434,14 +464,8 @@ class DeBrangesSpace(_ScalarSpace):
         b = self._one_sided(np.conj(w), u)
         return _drop((a + np.conj(b)) / 2.0)
 
-    def validate(self, z):
-        z = complex(z)
-        if not (math.isfinite(z.real) and math.isfinite(z.imag)):
-            raise DomainError("non-finite coordinate")
-        k = self.kernel(z, z)
-        if k.real <= 0.0:
-            raise DomainError("K(z,z) <= 0: point outside the usable domain")
-        return z
+    def _outside(self, Z):
+        return self.kernel(Z, Z).real <= 0.0
 
     def sample_points(self, rng, n):
         x = rng.uniform(-1.5, 1.5, size=n)

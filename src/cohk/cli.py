@@ -300,17 +300,28 @@ def _fmt(v):
     return f"{float(v):.17g}"
 
 
-_FLOAT = {float}
+# %-conversions that give _fmt's text, by exact value type
+_CONVERSION = {float: "%.17g", np.float64: "%.17g", int: "%d", np.int64: "%d"}
 
 
 def _write_csv(outdir, name, header, rows, files):
-    """Write rows under header; a row made only of Python floats is formatted
-    with one %-template, which gives _fmt's text in one call."""
-    template = ",".join(["%.17g"] * len(header)) + "\n"
+    """Write rows under header.  Rows of the same value types share one
+    %-template, which gives _fmt's text in one call; a row holding any
+    other type (bool, str, ...) goes through _fmt value by value."""
+    templates = {}
     with open(os.path.join(outdir, name), "w", newline="") as fh:
         fh.write(",".join(header) + "\n")
         for row in rows:
-            if set(map(type, row)) == _FLOAT:
+            # from a list, the tuple is allocated at its final size; a
+            # tuple(map(...)) is shrunk after filling, so each row would
+            # leave one more block in CPython's tuple free list, which
+            # keeps up to 2000 per size resident for the whole process
+            types = tuple([type(v) for v in row])
+            template = templates.get(types)
+            if template is None:
+                conv = [_CONVERSION.get(t) for t in types]
+                template = templates[types] = "" if None in conv else ",".join(conv) + "\n"
+            if template:
                 fh.write(template % tuple(row))
             else:
                 fh.write(",".join(map(_fmt, row)) + "\n")

@@ -126,7 +126,14 @@ class CoherentSpace:
         return True
 
     def stack(self, points):
-        """Stack validated points into one array for ``kernel``."""
+        """Stack validated points into one array for ``kernel``.
+
+        The contract is this per-label loop: a new array equal, dtype and
+        bits included, to ``np.asarray([self.validate(z) for z in points])``,
+        and the first label that fails ``validate`` raises its own error.
+        Catalog spaces meet it with one broadcasting domain check of the
+        whole stack; a user space keeps the loop.
+        """
         return np.asarray([self.validate(z) for z in points])
 
     def chart_path(self, z, X, t):

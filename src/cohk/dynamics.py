@@ -170,12 +170,13 @@ def _from_coords(space, arr, scalar):
 
 def _stacked_values(H, Z, shape):
     """Values of the stacked H on the labels Z, which stack along ``shape``.
-    A result of any other shape raises DomainError: numpy would broadcast
-    it into wrong values."""
+    A result of any other shape raises TypeError: numpy would broadcast it
+    into wrong values, and a malformed spec is not a label leaving the
+    domain, so ``propagate_ode`` does not turn it into an aborted run."""
     vals = np.asarray(H(Z), dtype=complex)
     if vals.shape != shape:
-        raise DomainError(f"stacked H returned shape {vals.shape} for labels "
-                          f"stacked as {shape}")
+        raise TypeError(f"stacked H returned shape {vals.shape} for labels "
+                        f"stacked as {shape}")
     return vals
 
 

@@ -1,6 +1,7 @@
 """Catalog spaces: kernels, closed-form geometry vs the FD oracle."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -23,6 +24,8 @@ from cohk.catalog import (
     two_form_omega,
     wtg_matrix,
 )
+
+SEED = 0xC0FFEE
 
 
 def test_catalog_has_eight_spaces():
@@ -233,6 +236,178 @@ def test_debranges_stack_mixes_diagonal_and_far_pairs():
     for k in range(len(Z)):
         assert K[k] == sp.kernel(Z[k], W[k])
     assert np.all(np.isfinite(K))
+
+
+# ---- the masked de Branges kernel ----
+
+
+def _two_branch_kernel(sp, z, zp):
+    """The de Branges kernel with both branches on every pair, chosen by
+    np.where: the reference for the kernel that evaluates its Taylor
+    limit only on the pairs within the cut."""
+    def Ebar(x):
+        return np.conj(sp.E(np.conj(x)))
+
+    def Ebar_prime(x):
+        return np.conj(sp.E_prime(np.conj(x)))
+
+    def one_sided(u, w):
+        d = u - w
+        near = np.abs(d) < 1e-8
+        m = (u + w) / 2.0
+        return np.where(
+            near,
+            (sp.E(m) * Ebar_prime(m) - sp.E_prime(m) * Ebar(m)) / 2j,
+            (Ebar(u) * sp.E(w) - sp.E(u) * Ebar(w)) / (2j * np.where(near, 1.0, d)),
+        )
+
+    u = np.asarray(z, dtype=complex)[..., None]
+    w = np.asarray(zp, dtype=complex)[..., None]
+    return ((one_sided(np.conj(u), w) + np.conj(one_sided(np.conj(w), u))) / 2.0)[..., 0]
+
+
+@pytest.mark.parametrize("preset", ["exp", "damped-linear"])
+def test_debranges_gram_is_bitwise_the_two_branch_formula(preset):
+    sp = make_space("debranges", preset=preset)
+    rng = np.random.default_rng(7)
+    x = rng.uniform(-1.5, 1.5, 12)
+    z = x[:6] + 1j * rng.uniform(0.1, 0.8, 6)
+    P = np.concatenate([
+        x + 0j,              # real axis: every diagonal pair is near
+        x[:4] + 3e-9,        # within 3e-9 of a real point
+        z, np.conj(z),       # conjugate pairs: conj(z) - z' = 0
+        np.conj(z) + 2e-9j,  # within 3e-9 of a conjugate
+        z + 3e-9,            # within 3e-9 of z, a far pair for the cut
+        sp.sample_points(rng, 20),
+    ])
+    near = np.abs(np.conj(P)[:, None] - P[None]) < 1e-8
+    assert len(P) < near.sum() < near.size
+    # the Gram mixes near and far pairs; the pairwise stacks below are all
+    # near (real diagonal, conjugates) or all far
+    cases = [(P[:, None], P[None]), (x, x), (x[:4], x[:4] + 3e-9), (z, np.conj(z)), (z, z)]
+    for Z, W in cases:
+        want = _two_branch_kernel(sp, Z, W)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            K = sp.kernel(Z, W)
+        assert K.dtype == want.dtype == complex
+        assert K.tobytes() == want.tobytes()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert gram(sp, P).tobytes() == _two_branch_kernel(sp, P[:, None], P[None]).tobytes()
+
+
+# ---- one domain check per space, for one label or a stack ----
+
+
+def _labelled(space):
+    return pytest.param(space, id=space.space_id)
+
+
+_STACK_SPACES = [
+    make_space(kind, dim=dim)
+    for kind in ("euclidean", "hermitian", "sphere", "klauder") for dim in (1, 2, 3)
+] + [
+    make_space("reciprocal"), make_space("szego"),
+    make_space("schur", preset="mobius"), make_space("schur", preset="square"),
+    make_space("debranges", preset="exp"), make_space("debranges", preset="damped-linear"),
+]
+
+# E = exp(-0.9 i z) (z - i) passes the constructor's grid test, but
+# K(z, z) <= 0 near the origin
+_LOW_DEBRANGES = DeBrangesSpace(
+    lambda z: np.exp(-0.9j * z) * (z - 1j),
+    lambda z: np.exp(-0.9j * z) * (1.0 - 0.9j * (z - 1j)),
+)
+
+
+def _per_label(space, points):
+    return np.asarray([space.validate(z) for z in points])
+
+
+def _outcome(f, *args):
+    """f(*args), or the type and message of what it raised."""
+    try:
+        return f(*args)
+    except Exception as err:
+        return type(err), str(err)
+
+
+@pytest.mark.parametrize("space", [_labelled(sp) for sp in _STACK_SPACES])
+def test_stack_is_bitwise_the_per_label_loop(space):
+    P = space.sample_points(np.random.default_rng(SEED), 2000)
+    want = _per_label(space, P)
+    assert want.dtype == (complex if space.complex_chart else float)
+    for points in (P, list(P), P.tolist()):
+        got = space.stack(points)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+        assert not np.shares_memory(got, P)
+    empty = space.stack([])
+    assert empty.dtype == _per_label(space, []).dtype and empty.shape == (0,)
+
+
+def _bad_labels(space, good):
+    """Labels validate rejects, named by what is wrong with them."""
+    if space.scalar_chart:
+        bad = {"nan": math.nan, "inf": complex(0.0, math.inf),
+               "wrong length": [good, good], "ragged": [[good], good]}
+    else:
+        n = space.coord_len
+        nan = np.array(good, dtype=complex if space.complex_chart else float)
+        nan[-1] = math.nan
+        bad = {"nan": nan, "wrong length": np.ones(n + 1), "ragged": [1.0, [1.0, 2.0]]}
+    if space.space_id == "reciprocal":
+        bad.update({"zero": 0.0, "negative": -1.5, "inf": math.inf, "complex": 0.5 + 0.5j})
+    if space.space_id in ("szego", "schur(mobius)", "schur(square)"):
+        bad.update({"unit circle": 1.0, "outside": 0.3 - 1.5j})
+    if space.space_id.startswith("sphere"):
+        bad["off the sphere"] = 2.0 * np.asarray(good)
+    if space is _LOW_DEBRANGES:
+        bad.update({"K(z,z) <= 0": 0.0, "K(z,z) <= 0 off the axis": 0.1j})
+    return bad
+
+
+@pytest.mark.parametrize("space", [_labelled(sp) for sp in _STACK_SPACES + [_LOW_DEBRANGES]])
+def test_stack_raises_the_first_bad_labels_own_error(space):
+    rng = np.random.default_rng(SEED)
+    P = [z for z in space.sample_points(rng, 60) if space.contains(z)][:40]
+    assert len(P) == 40
+    bad = _bad_labels(space, P[0])
+    for name, label in bad.items():
+        with pytest.raises(Exception):
+            space.validate(label)
+        for pos in (0, len(P) // 2, len(P) - 1):
+            points = list(P)
+            points[pos] = label
+            want = _outcome(_per_label, space, points)
+            assert isinstance(want, tuple), name
+            assert _outcome(space.stack, points) == want, (name, pos)
+    # two bad labels: the first one's error, whatever the other's kind
+    names = list(bad)
+    for first, second in zip(names, names[::-1]):
+        points = list(P)
+        points[5], points[30] = bad[first], bad[second]
+        want = _outcome(_per_label, space, points)
+        assert _outcome(space.stack, points) == want, (first, second)
+
+
+def test_user_space_keeps_the_per_label_stack():
+    from cohk.core import CoherentSpace
+
+    class Halfline(CoherentSpace):
+        scalar_chart = True
+
+        def validate(self, z):
+            z = float(z)
+            if not z > 0.0:
+                raise DomainError("positive reals only")
+            return z
+
+    sp = Halfline()
+    assert sp.stack([1, 2.5]).tolist() == [1.0, 2.5]
+    with pytest.raises(DomainError, match="positive reals only"):
+        sp.stack([1.0, -1.0])
 
 
 def test_chart_path_over_a_step_array(space, rng):

@@ -239,8 +239,14 @@ def test_overflowing_label_exits_two_without_warnings(tmp_path):
 def test_csv_float_rows_match_the_per_value_format(tmp_path):
     from cohk.cli import _fmt, _write_csv
 
+    big = 123456789012345678901234567890
     rows = [[0.0, -0.0, 1.0 / 3.0], [1e300, 5e-324, -2.5], [math.inf, -math.inf, math.nan],
-            ["case", 3, np.float64(0.1)], [1, 2.0, np.int64(7)]]
+            ["case", 3, np.float64(0.1)], [1, 2.0, np.int64(7)],
+            [True, False, np.bool_(True)], [True, 1, 1.0],
+            [10**17, -(10**17), big], [-big, np.int64(-(2**63)), np.int64(2**63 - 1)],
+            [-1, -0, np.int64(-5)], [np.int64(3), 3, np.float64(-0.0)],
+            [np.float64(math.nan), 1e17, np.float64(-1e-300)],
+            [np.int32(4), np.float32(0.1), 2], [0, 1.0, np.int64(2)], [0, 1.0, np.int64(2)]]
     files = []
     _write_csv(str(tmp_path), "x.csv", ["a", "b", "c"], rows, files)
     want = "a,b,c\n" + "".join(",".join(_fmt(v) for v in r) + "\n" for r in rows)

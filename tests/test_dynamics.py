@@ -366,13 +366,12 @@ def test_stacked_hamiltonian_is_bitwise_the_per_label_one(dim):
 def test_stacked_hamiltonian_must_give_one_value_per_label():
     space = make_space("klauder")
     ham = HamiltonianSpec(H=lambda Z: 1.0, stacked=True)
-    # the DomainError ends the run at its first stage, as any DomainError
-    # raised inside a step does
-    stopped = el_integrate(space, ham, Z0, 0.1, 1e-2)
-    assert stopped.meta["aborted"] and len(stopped) == 1
-    assert stopped.meta["reason"] == "stacked H returned shape () for labels stacked as (8,)"
+    # a malformed spec raises out of the integrator: it is not a step
+    # leaving the domain, so it does not end the run as an aborted trajectory
+    with pytest.raises(TypeError, match=r"shape \(\) for labels stacked as \(8,\)"):
+        el_integrate(space, ham, Z0, 0.1, 1e-2)
     traj = el_integrate(space, HamiltonianSpec(H=quadratic_H), Z0, 0.5, 5e-3)
-    with pytest.raises(DomainError, match=r"shape \(\) for labels stacked as \(101,\)"):
+    with pytest.raises(TypeError, match=r"shape \(\) for labels stacked as \(101,\)"):
         df_action(traj, ham, space)
 
 
