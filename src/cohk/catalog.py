@@ -1,10 +1,11 @@
 """Concrete coherent spaces and the finite-difference derivation oracle.
 
 Eight spaces are provided, each with one kernel, one seeded sampler and
-closed-form first/second kernel derivatives.  Every kernel and every closed
-form is a single numpy expression that broadcasts over stacked leading axes
-of its labels and tangents; a single case is the 0-d instance of the same
-expression and gives a complex scalar.
+closed-form first/second kernel derivatives.  Every kernel, every closed
+form and every tangent sampler is a single numpy expression that
+broadcasts over stacked leading axes of its labels and tangents; a single
+case is the 0-d instance of the same expression and gives a complex scalar
+(a kernel or closed form) or one tangent.
 
 ========== =========================== =================================
 name       points                      kernel
@@ -116,8 +117,11 @@ class _VectorSpace(_CatalogSpace):
     _label_form = "a complex vector"
 
     def validate(self, z):
-        z = np.asarray(z, dtype=complex if self.complex_chart else float)
-        if z.shape != (self.coord_len,):
+        try:
+            z = np.asarray(z, dtype=complex if self.complex_chart else float)
+        except (TypeError, ValueError, OverflowError):  # e.g. ragged, complex on a real chart
+            z = None
+        if z is None or z.shape != (self.coord_len,):
             raise DomainError(f"expected {self._label_form} of length {self.coord_len}")
         if not _finite(z):
             raise DomainError("non-finite coordinates")
@@ -146,7 +150,7 @@ class EuclideanSpace(_VectorSpace):
         return rng.normal(size=(n, self.dim))
 
     def sample_tangent(self, z, rng):
-        return rng.normal(size=self.dim)
+        return rng.normal(size=np.shape(z))
 
     # the kernel is bilinear: R_X K(z, z) = K(z, X) and L_X R_Y K = K(X, Y)
     def theta_form(self, z, X):
@@ -174,7 +178,8 @@ class HermitianSpace(_VectorSpace):
         return (rng.normal(size=sh) + 1j * rng.normal(size=sh)) / math.sqrt(2)
 
     def sample_tangent(self, z, rng):
-        return (rng.normal(size=self.dim) + 1j * rng.normal(size=self.dim)) / math.sqrt(2)
+        sh = np.shape(z)
+        return (rng.normal(size=sh) + 1j * rng.normal(size=sh)) / math.sqrt(2)
 
     # the kernel is sesquilinear: R_X K(z, z) = K(z, X) and L_X R_Y K = K(X, Y)
     def theta_form(self, z, X):
@@ -211,8 +216,8 @@ class UnitSphereSpace(HermitianSpace):
         return V / np.sqrt(np.sum(np.abs(V) ** 2, axis=-1))[:, None]
 
     def sample_tangent(self, z, rng):
-        X = (rng.normal(size=self.dim) + 1j * rng.normal(size=self.dim)) / math.sqrt(2)
-        return X - z * np.vdot(z, X).real
+        X = super().sample_tangent(z, rng)
+        return X - z * np.vecdot(z, X).real[..., None]
 
 
 class KlauderSpace(_VectorSpace):
@@ -239,8 +244,8 @@ class KlauderSpace(_VectorSpace):
         return 0.5 * (rng.normal(size=sh) + 1j * rng.normal(size=sh))
 
     def sample_tangent(self, z, rng):
-        v = rng.normal(size=self.coord_len) + 1j * rng.normal(size=self.coord_len)
-        return 0.5 * v
+        sh = np.shape(z)
+        return 0.5 * (rng.normal(size=sh) + 1j * rng.normal(size=sh))
 
     # u(X) = X0 + zhat* Xhat is how the exponent responds to the right-slot
     # displacement X at the diagonal point: theta = K u(X) and
@@ -277,10 +282,14 @@ def _drop(k):
 class _ScalarSpace(_CatalogSpace):
     coord_len = 1
     scalar_chart = True
+    _label_form = "a complex number"
     _nonfinite_msg = "non-finite coordinate"
 
     def validate(self, z):
-        z = complex(z) if self.complex_chart else float(z)
+        try:
+            z = complex(z) if self.complex_chart else float(z)
+        except (TypeError, ValueError, OverflowError):  # e.g. a list, a complex on a real chart
+            raise DomainError(f"expected {self._label_form}") from None
         if not cmath.isfinite(z):
             raise DomainError(self._nonfinite_msg)
         if self._outside(z):
@@ -288,13 +297,18 @@ class _ScalarSpace(_CatalogSpace):
         return z
 
     def sample_tangent(self, z, rng):
-        return complex(rng.normal() + 1j * rng.normal()) / math.sqrt(2)
+        # each part divided on its own, as Python's complex / float divides;
+        # numpy's complex division multiplies by the reciprocal instead
+        sh = np.shape(z)
+        x = rng.normal(size=sh) / math.sqrt(2)
+        return (x + 1j * (rng.normal(size=sh) / math.sqrt(2)))[()]
 
 
 class ReciprocalSpace(_ScalarSpace):
     """Positive half-line with K(z, z') = 1 / (z + z') (Hilbert-matrix kernel)."""
 
     complex_chart = False
+    _label_form = "a real number"
     _nonfinite_msg = _outside_msg = "reciprocal points are strictly positive reals"
 
     def __init__(self):
@@ -310,7 +324,7 @@ class ReciprocalSpace(_ScalarSpace):
         return rng.uniform(0.4, 2.5, size=n)
 
     def sample_tangent(self, z, rng):
-        return float(rng.normal())
+        return rng.normal(size=np.shape(z))[()]
 
     def theta_form(self, z, X):
         return -X / (4.0 * z * z) + 0j

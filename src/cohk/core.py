@@ -158,6 +158,12 @@ class CoherentSpace:
         return self.sample_points(rng, 1)[0]
 
     def sample_tangent(self, z, rng):
+        """Tangents drawn from ``rng``, one per label of ``z`` and stacked
+        like it; a single label gives one tangent of the label's form.
+
+        Catalog spaces draw a whole stack in one expression, so a stack
+        consumes the stream differently from a loop of single draws.
+        """
         raise NotImplementedError
 
     # -- optional closed-form geometry (filled in by catalog spaces) -------

@@ -1,7 +1,8 @@
 """Quantum dynamics as classical motion of coherent-state labels.
 
 Oscillator generators integrate exactly through the block-matrix
-exponential (flow_exact); label fields integrate with fixed-step RK4
+exponential (flow_exact, one stacked expm call for a stack of times and
+labels); label fields integrate with fixed-step RK4
 (propagate_ode), whose oscillator stages are each one product of the
 homogeneous label [z, 1] with the block generator.
 
@@ -36,7 +37,7 @@ import numpy as np
 
 from .core import MAX_SIZE, DegenerateFormError, DomainError
 from .catalog import fd_LR, one_form_theta
-from .fock import gen_block, osc_act, osc_from_block
+from .fock import gen_block
 
 __all__ = [
     "AutocorrSeries",
@@ -114,24 +115,48 @@ class HamiltonianSpec:
 # exact oscillator flow
 
 
-def flow_exact(gen, t, z, hbar=1.0, _depth=0):
-    """Label at time t of the flow exp(-i t H / hbar) for H = dGamma(gen).
+def flow_exact(gen, t, z, hbar=1.0):
+    """Labels at times t of the flow exp(-i t H / hbar) for H = dGamma(gen).
 
-    The block matrix of -i t gen / hbar is exponentiated
-    (scaling-and-squaring) and applied through the affine action.  If the
-    exponential overflows, the interval is halved recursively.
+    ``t`` is one time and ``z`` one label, or ``t`` is an array of times
+    and ``z`` labels whose stack broadcasts to it; the result has shape
+    ``t.shape + (n + 1,)``.  The block matrices of -i t gen / hbar are
+    exponentiated in one scipy ``expm`` call on their stack
+    (scaling-and-squaring, matrix by matrix, so a stacked case gets the
+    same bits as a single one) and applied through the affine action.
+    The cases whose exponential overflows, and only those, are halved
+    recursively, up to 40 times.
     """
+    t = np.asarray(t, dtype=float)
+    z = np.asarray(z, dtype=complex)
+    m = z.shape[-1]
+    out = _flow(gen, t.reshape(-1), np.broadcast_to(z, t.shape + (m,)).reshape(-1, m),
+                hbar, 0)
+    return out.reshape(t.shape + (m,))
+
+
+def _flow(gen, t, z, hbar, depth):
+    """flow_exact on a flat stack: times (k,), labels (k, n + 1)."""
     from scipy.linalg import expm
 
-    z = np.asarray(z, dtype=complex)
-    M = expm((-1j * t / hbar) * gen_block(gen))
-    if np.all(np.isfinite(M.view(float))):
-        return osc_act(osc_from_block(M), z)
-    if _depth >= 40:
-        raise DomainError(f"the flow of this generator overflows at t={t * 2 ** _depth:g} "
-                          "even after step splitting")
-    half = flow_exact(gen, t / 2.0, z, hbar, _depth + 1)
-    return flow_exact(gen, t / 2.0, half, hbar, _depth + 1)
+    # t / hbar first, a real division, as Python's complex -1j * t / hbar
+    # divides each part; numpy's complex division multiplies by 1 / hbar
+    M = expm(np.multiply.outer(-1j * (t / hbar), gen_block(gen)))
+    ok = np.isfinite(M.view(float)).all(axis=(-2, -1))
+    out = np.empty_like(z)
+    # the affine action [rho + z0 + p* zhat, q + X zhat] of each block
+    # [[1, p*, rho], [0, X, q], [0, 0, 1]]
+    A, zh = M[ok], z[ok, 1:]
+    out[ok, 0] = A[:, 0, -1] + z[ok, 0] + np.vecdot(np.conj(A[:, 0, 1:-1]), zh)
+    out[ok, 1:] = A[:, 1:-1, -1] + (A[:, 1:-1, 1:-1] @ zh[..., None])[..., 0]
+    if not ok.all():
+        bad = ~ok
+        if depth >= 40:
+            raise DomainError(f"the flow of this generator overflows at "
+                              f"t={t[bad][0] * 2 ** depth:g} even after step splitting")
+        half = _flow(gen, t[bad] / 2.0, z[bad], hbar, depth + 1)
+        out[bad] = _flow(gen, t[bad] / 2.0, half, hbar, depth + 1)
+    return out
 
 
 def oscillator_field(gen, hbar=1.0):

@@ -227,13 +227,16 @@ def gamma_element(A, z, zp):
 def dgamma_element(gen, z, zp):
     """<z| dGamma(X_{rho,p,q,X}) |z'> = K(z,z') (rho + p* zhat' + zhat* q + zhat* X zhat').
 
-    Broadcasts over stacked right labels like klauder_kernel.
+    Broadcasts over stacked left and right labels like klauder_kernel.  Every
+    product is taken label by label (vecdot, stacked matmul), so a case
+    gets the same bits in a stack of any length.
     """
     z = np.asarray(z, dtype=complex)
     zp = np.asarray(zp, dtype=complex)
-    czh, zph = np.conj(z[1:]), zp[..., 1:]
-    lin = gen.rho + zph @ np.conj(gen.p) + czh @ gen.q + (zph @ gen.X.T) @ czh
-    return klauder_kernel(z, zp) * (complex(lin) if zp.ndim == 1 else lin)
+    zh, zph = z[..., 1:], zp[..., 1:]
+    lin = (gen.rho + np.vecdot(gen.p, zph) + np.vecdot(zh, gen.q)
+           + np.vecdot(zh, (gen.X @ zph[..., None])[..., 0]))
+    return klauder_kernel(z, zp) * (complex(lin) if np.ndim(lin) == 0 else lin)
 
 
 def annihilation_element(q, z, zp):

@@ -15,7 +15,8 @@ produces resolvent matrix elements for Im E > 0 (the sign is fixed by the
 zero-generator case G(E) = K/E).  Fourier sums over a uniform energy grid
 are one chirp-z (Bluestein) convolution, so energy grids must be uniform.
 Negative times are synthesized from K_{-t}(z, z') = conj(K_t(z', z))
-rather than integrated.
+rather than integrated.  The Schwinger-Dyson residual takes a stack of
+cases and evaluates all their exact flows in one flow_exact call.
 """
 
 from __future__ import annotations
@@ -420,18 +421,25 @@ def schwinger_dyson_residual(space, ham, z, zp, t, dt_fd=1e-4):
     """|i hbar dK_t/dt - <z| H e^{-iota t H} |z'>| / |K_t|.
 
     The time derivative is a central difference of exact flows; the right
-    side is the closed-form dGamma element at the evolved label.
+    side is the closed-form dGamma element at the evolved label.  ``z``,
+    ``zp`` and ``t`` may stack cases along leading axes (labels with their
+    coordinate axis last); the three flows of every case are one
+    ``flow_exact`` call, and a stack gives one residual per case.
     """
     if dt_fd <= 0:
         raise DomainError("dt_fd must be positive")
     hbar = ham.hbar
-    kp = klauder_kernel(z, flow_exact(ham.gen, t + dt_fd, zp, hbar))
-    km = klauder_kernel(z, flow_exact(ham.gen, t - dt_fd, zp, hbar))
-    dk = (kp - km) / (2.0 * dt_fd)
-    psi = flow_exact(ham.gen, t, zp, hbar)
+    z, zp = np.asarray(z, dtype=complex), np.asarray(zp, dtype=complex)
+    cases = np.broadcast_shapes(z.shape[:-1], zp.shape[:-1], np.shape(t))
+    # one flat stack, so a single case runs the same arithmetic as a stack
+    z, zp = (np.broadcast_to(a, cases + a.shape[-1:]).reshape(-1, a.shape[-1])
+             for a in (z, zp))
+    t = np.broadcast_to(np.asarray(t, dtype=float), cases).reshape(-1)
+    psi_p, psi_m, psi = flow_exact(ham.gen, np.stack([t + dt_fd, t - dt_fd, t]), zp, hbar)
+    dk = (klauder_kernel(z, psi_p) - klauder_kernel(z, psi_m)) / (2.0 * dt_fd)
     rhs = dgamma_element(ham.gen, z, psi)
-    kt = klauder_kernel(z, psi)
-    return abs(1j * hbar * dk - rhs) / max(1e-300, abs(kt))
+    res = np.abs(1j * hbar * dk - rhs) / np.maximum(1e-300, np.abs(klauder_kernel(z, psi)))
+    return float(res[0]) if cases == () else res.reshape(cases)
 
 
 def resolvent_equation_residual(space, ham, z, zp, E, t_max=0.0, dt=1e-2):

@@ -173,9 +173,7 @@ def test_gram_is_one_broadcast_kernel_call(space, rng):
 
 def _stacked_cases(space, rng, n):
     Z = space.sample_points(rng, n)
-    X = np.asarray([space.sample_tangent(z, rng) for z in Z])
-    Y = np.asarray([space.sample_tangent(z, rng) for z in Z])
-    return Z, X, Y
+    return Z, space.sample_tangent(Z, rng), space.sample_tangent(Z, rng)
 
 
 def _assert_stack_matches_single_cases(space, Z, X, Y):
@@ -390,6 +388,16 @@ def test_stack_raises_the_first_bad_labels_own_error(space):
         points[5], points[30] = bad[first], bad[second]
         want = _outcome(_per_label, space, points)
         assert _outcome(space.stack, points) == want, (first, second)
+
+
+@pytest.mark.parametrize("space", [_labelled(sp) for sp in _STACK_SPACES + [_LOW_DEBRANGES]])
+def test_contains_is_false_on_every_bad_label(space):
+    rng = np.random.default_rng(SEED)
+    good = next(z for z in space.sample_points(rng, 60) if space.contains(z))
+    for name, label in _bad_labels(space, good).items():
+        assert space.contains(label) is False, name
+        with pytest.raises(DomainError):
+            space.validate(label)
 
 
 def test_user_space_keeps_the_per_label_stack():
@@ -614,3 +622,47 @@ def test_commutation_check(space, rng):
     scale = max(1.0, abs(space.kernel(z, zp)))
     assert commutation_check(space, z, zp, X, Y) <= 1e-6 * scale
     assert commutation_check(space, z, zp, 0.0 * np.asarray(X), Y) == pytest.approx(0.0, abs=1e-12)
+
+
+# ---- tangent sampler on one label or a stack ----
+
+
+@pytest.mark.parametrize("space", [_labelled(sp) for sp in _STACK_SPACES])
+def test_sample_tangent_draws_one_tangent_per_label_of_a_stack(space):
+    rng = np.random.default_rng(SEED)
+    Z = space.sample_points(rng, 2000)
+    X = space.sample_tangent(Z, rng)
+    assert X.shape == Z.shape and X.dtype == Z.dtype
+    assert np.isfinite(X).all() and len(np.unique(X)) == X.size
+    if space.space_id.startswith("sphere"):
+        # each row is a tangent of its own label: Re(z* X) = 0
+        assert np.abs(np.vecdot(Z, X).real).max() <= 1e-12
+
+
+def _tangent_as_drawn_one_label_at_a_time(space, z, rng):
+    """The per-label tangent expressions the stacked sampler replaced."""
+    kind = space.space_id.split("(")[0]
+    n = space.coord_len
+    if kind == "euclidean":
+        return rng.normal(size=n)
+    if kind in ("hermitian", "sphere"):
+        X = (rng.normal(size=n) + 1j * rng.normal(size=n)) / math.sqrt(2)
+        return X - z * np.vdot(z, X).real if kind == "sphere" else X
+    if kind == "klauder":
+        return 0.5 * (rng.normal(size=n) + 1j * rng.normal(size=n))
+    if kind == "reciprocal":
+        return float(rng.normal())
+    return complex(rng.normal() + 1j * rng.normal()) / math.sqrt(2)
+
+
+@pytest.mark.parametrize("space", [_labelled(sp) for sp in _STACK_SPACES])
+def test_single_label_tangents_keep_their_draws(space):
+    rng, ref = np.random.default_rng(SEED), np.random.default_rng(SEED)
+    for z in space.sample_points(np.random.default_rng(SEED + 1), 20):
+        X = space.sample_tangent(z, rng)
+        want = _tangent_as_drawn_one_label_at_a_time(space, z, ref)
+        assert np.shape(X) == np.shape(want)
+        assert isinstance(X, type(want))
+        assert np.asarray(X).tobytes() == np.asarray(want).tobytes()
+    # both streams consumed the same draws
+    assert rng.normal() == ref.normal()

@@ -86,6 +86,54 @@ def test_flow_exact_hbar_rescales_time():
     assert a == pytest.approx(b)
 
 
+def _random_generator(rng, n):
+    def c(*shape):
+        return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    return OscGenerator(complex(c()), c(n), c(n), c(n, n))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("hbar", [1.0, 0.7])
+def test_stacked_flow_exact_is_the_per_case_flow(n, hbar):
+    rng = np.random.default_rng(SEED)
+    gen = _random_generator(rng, n)
+    t = rng.uniform(-3.0, 3.0, size=50)
+    z = 0.5 * (rng.normal(size=(50, n + 1)) + 1j * rng.normal(size=(50, n + 1)))
+    flows = flow_exact(gen, t, z, hbar)
+    assert flows.shape == z.shape and flows.dtype == complex
+    for i in range(50):
+        assert flow_exact(gen, t[i], z[i], hbar).tobytes() == flows[i].tobytes()
+    # one label broadcast over a stack of times
+    assert flow_exact(gen, t.reshape(5, 10), z[0], hbar).tobytes() == \
+        np.stack([flow_exact(gen, tk, z[0], hbar) for tk in t]).tobytes()
+
+
+def test_stacked_flow_exact_splits_only_the_overflowing_case():
+    # growth e^{512 t}: at t = 1.5 the block exponential overflows, and its
+    # two halves do not
+    gen = _overflowing_ham().gen
+    t = np.array([0.25, 1.5, -0.5, 1.0])
+    z = np.array([[0.1, 1.0], [-0.5, 1e-100], [0.3j, 0.5], [0.0, 1e-200]], dtype=complex)
+    with np.errstate(over="ignore", invalid="ignore"):
+        flows = flow_exact(gen, t, z)
+        for i in range(len(t)):
+            assert flow_exact(gen, t[i], z[i]).tobytes() == flows[i].tobytes()
+    assert np.isfinite(flows).all()
+    assert flows[1, 0] == z[1, 0]
+    assert flows[1, 1] == pytest.approx(1e-100 * math.exp(384.0) * math.exp(384.0), rel=1e-12)
+
+
+def test_stacked_flow_exact_raises_when_a_case_overflows_after_40_splits():
+    # growth e^{1e300 t}: still overflows at t / 2^40 for t = 1, while
+    # t <= 0 gives finite exponentials
+    gen = OscGenerator(0.0, np.zeros(1), np.zeros(1), np.array([[1e300j]]))
+    t = np.array([0.0, -1.0, 1.0])
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert np.isfinite(flow_exact(gen, t[:2], np.tile(Z0, (2, 1)))).all()
+        with pytest.raises(DomainError, match="t=1 even after step splitting"):
+            flow_exact(gen, t, np.tile(Z0, (3, 1)))
+
+
 def test_oscillator_field_is_the_flow_derivative():
     rng = np.random.default_rng(SEED)
     gen = OscGenerator(0.2 + 0.1j, rng.normal(size=2) + 0j,

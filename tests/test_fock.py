@@ -176,6 +176,18 @@ def test_kernel_and_dgamma_broadcast_over_stacked_labels():
             assert one_h == pytest.approx(want_h, rel=1e-13)
 
 
+def test_dgamma_over_stacked_left_labels_is_independent_of_stack_length():
+    rng = np.random.default_rng(SEED)
+    for n in (1, 2, 3):
+        g = _random_generator(rng, n)
+        zs = np.stack([_random_label(rng, n) for _ in range(40)])
+        zps = np.stack([_random_label(rng, n) for _ in range(40)])
+        h = dgamma_element(g, zs, zps)
+        assert h.shape == (40,)
+        for i in range(40):
+            assert dgamma_element(g, zs[i:i + 1], zps[i:i + 1]).tobytes() == h[i:i + 1].tobytes()
+
+
 def test_dgamma_number_operator_harmonic_point():
     z = np.array([-0.5, 1.0], dtype=complex)
     n_op = OscGenerator(0.0, np.zeros(1), np.zeros(1), np.eye(1))

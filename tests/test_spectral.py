@@ -253,6 +253,26 @@ def test_schwinger_dyson_residual_seeded():
         assert schwinger_dyson_residual(None, ham, z, zp, t) <= 1e-6
 
 
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("hbar", [1.0, 0.7])
+def test_stacked_schwinger_dyson_residual_is_the_per_case_one(n, hbar):
+    rng = np.random.default_rng(SEED)
+    c = lambda *shape: rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    # a self-adjoint generator: real rho, p = q, Hermitian X
+    p, A = 0.25 * c(n), 0.25 * c(n, n)
+    gen = OscGenerator(0.25 * rng.normal(), p, p, A + A.conj().T)
+    ham = HamiltonianSpec(gen=gen, hbar=hbar)
+    z, zp = 0.5 * c(50, n + 1), 0.5 * c(50, n + 1)
+    t = rng.uniform(0.0, 3.0, size=50)
+    res = schwinger_dyson_residual(None, ham, z, zp, t)
+    assert res.shape == (50,) and res.dtype == float
+    for i in range(50):
+        one = schwinger_dyson_residual(None, ham, z[i], zp[i], t[i])
+        assert type(one) is float
+        assert abs(one - res[i]) <= 1e-15
+    assert res.max() <= 1e-6
+
+
 def test_resolvent_equation_residual():
     ham = HamiltonianSpec(gen=_number_op())
     res = resolvent_equation_residual(None, ham, Z0, Z0, 0.5 + 0.1j)
