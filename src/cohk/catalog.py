@@ -118,6 +118,8 @@ class _VectorSpace(_CatalogSpace):
 
     def validate(self, z):
         try:
+            if not self.complex_chart and np.iscomplexobj(z):
+                raise TypeError  # numpy's cast to the real chart would drop Im
             z = np.asarray(z, dtype=complex if self.complex_chart else float)
         except (TypeError, ValueError, OverflowError):  # e.g. ragged, complex on a real chart
             z = None
@@ -287,6 +289,8 @@ class _ScalarSpace(_CatalogSpace):
 
     def validate(self, z):
         try:
+            if not self.complex_chart and np.iscomplexobj(z):
+                raise TypeError  # numpy's cast to the real chart would drop Im
             z = complex(z) if self.complex_chart else float(z)
         except (TypeError, ValueError, OverflowError):  # e.g. a list, a complex on a real chart
             raise DomainError(f"expected {self._label_form}") from None

@@ -75,7 +75,6 @@ class AutocorrSeries:
     t0: float
     dt: float
     values: np.ndarray
-    space_id: str = ""
     z: np.ndarray = None
     zp: np.ndarray = None
     hbar: float = 1.0
@@ -178,10 +177,9 @@ def oscillator_field(gen, hbar=1.0):
 # chart utilities (realification of points and tangents)
 
 
-def _coords(space, z):
-    arr = np.atleast_1d(np.asarray(z, dtype=complex))
-    scalar = np.ndim(z) == 0
-    return arr, scalar
+def _coords(z):
+    """The label as a complex coordinate array, and whether it was a scalar."""
+    return np.atleast_1d(np.asarray(z, dtype=complex)), np.ndim(z) == 0
 
 
 def _from_coords(space, arr, scalar):
@@ -257,7 +255,7 @@ def propagate_ode(space, ham, z0, t_end, dt):
                           f"the most allowed is {MAX_SIZE}")
     n_steps = int(round(steps))
     z0 = space.validate(z0)
-    y, scalar = _coords(space, z0)
+    y, scalar = _coords(z0)
     m = len(y)  # label slots of y
     if ham.gen is not None:
         Mt = (-(1j / ham.hbar) * gen_block(ham.gen)).T
@@ -296,7 +294,7 @@ def autocorrelation(space, z, traj):
     zz = space.stack([z])[0]
     vals = np.asarray(space.kernel(zz, Z), dtype=complex)
     dt = float(traj.times[1] - traj.times[0]) if len(traj) > 1 else 0.0
-    return AutocorrSeries(float(traj.times[0]), dt, vals, space.space_id, z=zz, zp=Z[0])
+    return AutocorrSeries(float(traj.times[0]), dt, vals, z=zz, zp=Z[0])
 
 
 # ---------------------------------------------------------------------------
@@ -384,7 +382,7 @@ def _el_velocity(space, H, y, scalar, hbar, h=None, stacked=False):
 def hamiltonian_vector_field(space, H, z, hbar=1.0, grad_h=None):
     """Euler-Lagrange field z' = -(i/hbar) Hm^{-1} dH/dconj(z) at z, as a
     chart tangent vector."""
-    arr, scalar = _coords(space, z)
+    arr, scalar = _coords(z)
     v = _el_velocity(space, H, arr, scalar, hbar, grad_h)
     return complex(v[0]) if scalar else v
 
@@ -397,7 +395,7 @@ def poisson_bracket(space, f, g, z, hbar=1.0, grad_h=None):
     negates the result exactly, not just up to solver rounding.
     """
     A = symplectic_matrix(space, z).astype(complex)
-    arr, scalar = _coords(space, z)
+    arr, scalar = _coords(z)
     df = _grad(space, f, arr, scalar, h=grad_h)
     dg = _grad(space, g, arr, scalar, h=grad_h)
     xg = np.linalg.solve(A, dg)

@@ -355,6 +355,15 @@ def _bad_labels(space, good):
         nan = np.array(good, dtype=complex if space.complex_chart else float)
         nan[-1] = math.nan
         bad = {"nan": nan, "wrong length": np.ones(n + 1), "ragged": [1.0, [1.0, 2.0]]}
+    if not space.complex_chart:
+        # complex-typed labels are rejected, even with a zero imaginary part
+        if space.scalar_chart:
+            bad.update({"complex numpy scalar": np.complex128(good + 1j),
+                        "complex 0-d array": np.array(good + 0j)})
+        else:
+            bad.update({"complex array": np.asarray(good) + 1j,
+                        "complex array, zero Im": np.asarray(good, dtype=complex),
+                        "complex numpy entry": [np.complex128(1 + 1j), *good[1:]]})
     if space.space_id == "reciprocal":
         bad.update({"zero": 0.0, "negative": -1.5, "inf": math.inf, "complex": 0.5 + 0.5j})
     if space.space_id in ("szego", "schur(mobius)", "schur(square)"):

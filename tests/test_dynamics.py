@@ -507,7 +507,7 @@ def _smooth_H(z):
 def _realified_field(space, H, z, hbar=1.0):
     """x' = -(1/hbar) A^{-1} dH with the realified 2-form, as a chart tangent."""
     A = symplectic_matrix(space, z)
-    dH = _grad(space, H, *_coords(space, z))
+    dH = _grad(space, H, *_coords(z))
     x = -np.linalg.solve(A.astype(complex), dH) / hbar
     return x[0::2] + 1j * x[1::2]
 

@@ -14,7 +14,14 @@ from scipy.linalg import expm
 from cohk.core import DomainError
 from cohk.catalog import make_space
 from cohk.dynamics import HamiltonianSpec, propagate_ode
-from cohk.fock import OscGenerator, gen_block, klauder_kernel, osc_act, osc_from_block
+from cohk.fock import (
+    OscGenerator,
+    dgamma_element,
+    gen_block,
+    klauder_kernel,
+    osc_act,
+    osc_from_block,
+)
 from cohk.spectral import (
     _flow_points,
     _uniform_fourier,
@@ -145,58 +152,58 @@ def test_scan_two_mode_line_positions():
 def test_resolvent_zero_generator_is_kernel_over_e():
     ham = HamiltonianSpec(gen=_zero_op())
     E = 0.5 + 0.1j
-    g = resolvent_element(None, ham, Z0, Z0, E)
-    assert g.value == pytest.approx(klauder_kernel(Z0, Z0) / E, rel=1e-4)
+    g = resolvent_element(ham, Z0, Z0, E)
+    assert g == pytest.approx(klauder_kernel(Z0, Z0) / E, rel=1e-4)
 
 
 def test_resolvent_matches_eigen_sum():
     ham = HamiltonianSpec(gen=_number_op())
     E = 0.5 + 0.1j
-    g = resolvent_element(None, ham, Z0, Z0, E)
+    g = resolvent_element(ham, Z0, Z0, E)
     exact = sum(_w(n) / (E - n) for n in range(60))
-    assert abs(g.value - exact) < 1e-4
+    assert abs(g - exact) < 1e-4
 
 
 def test_resolvent_needs_upper_half_plane():
     ham = HamiltonianSpec(gen=_number_op())
     with pytest.raises(DomainError):
-        resolvent_element(None, ham, Z0, Z0, 0.5 - 0.1j)
+        resolvent_element(ham, Z0, Z0, 0.5 - 0.1j)
     with pytest.raises(DomainError):
-        resolvent_element(None, ham, Z0, Z0, 0.5)
+        resolvent_element(ham, Z0, Z0, 0.5)
 
 
 def test_resolvent_symmetry_off_diagonal():
     ham = HamiltonianSpec(gen=_number_op())
     zp = np.array([0.2 + 0.1j, 0.4 - 0.3j], dtype=complex)
-    res = resolvent_symmetry_residual(None, ham, Z0, zp, 0.5 + 0.1j)
+    res = resolvent_symmetry_residual(ham, Z0, zp, 0.5 + 0.1j)
     assert res <= 1e-10 * abs(klauder_kernel(Z0, zp))
 
 
 def test_rational_single_complex_root_is_minus_resolvent():
     ham = HamiltonianSpec(gen=_number_op())
     E0 = 0.5 + 0.1j
-    got = rational_element(None, ham, Z0, Z0, [E0], [1.0])
-    g = resolvent_element(None, ham, Z0, Z0, E0).value
+    got = rational_element(ham, Z0, Z0, [E0], [1.0])
+    g = resolvent_element(ham, Z0, Z0, E0)
     assert got == pytest.approx(-g, rel=1e-12)
 
 
 def test_rational_real_root_zero_generator():
     # 1/(H + 1) with H = 0 is just 1; the eta extrapolation must recover it
     ham = HamiltonianSpec(gen=_zero_op())
-    got = rational_element(None, ham, Z0, Z0, [-1.0], [1.0], eta=0.05)
+    got = rational_element(ham, Z0, Z0, [-1.0], [1.0], eta=0.05)
     assert got == pytest.approx(klauder_kernel(Z0, Z0), rel=5e-3)
 
 
 def test_rational_rejects_bad_inputs():
     ham = HamiltonianSpec(gen=_number_op())
     with pytest.raises(DomainError):
-        rational_element(None, ham, Z0, Z0, [1.0 + 1e-9, 1.0], [1.0])
+        rational_element(ham, Z0, Z0, [1.0 + 1e-9, 1.0], [1.0])
     with pytest.raises(DomainError):
-        rational_element(None, ham, Z0, Z0, [-1.0], [1.0, 2.0])
+        rational_element(ham, Z0, Z0, [-1.0], [1.0, 2.0])
     from cohk.spectral import SpectralLine
     spectrum = [SpectralLine(1.0, _w(1))]
     with pytest.raises(DomainError):
-        rational_element(None, ham, Z0, Z0, [1.05], [1.0], eta=0.05,
+        rational_element(ham, Z0, Z0, [1.05], [1.0], eta=0.05,
                          spectrum=spectrum)
 
 
@@ -204,7 +211,7 @@ def test_spectral_density_peak_height():
     ham = HamiltonianSpec(gen=_number_op())
     eta = 0.05
     grid = np.array([1.0])
-    dens = spectral_density(None, ham, Z0, Z0, grid, eta)
+    dens = spectral_density(ham, Z0, Z0, grid, eta)
     lorentz_peak = _w(1) / (math.pi * eta)
     tails = sum(_w(n) * eta / math.pi / (1.0 - n) ** 2
                 for n in range(8) if n != 1)
@@ -214,7 +221,7 @@ def test_spectral_density_peak_height():
 def test_density_is_nonnegative_and_sums_to_diagonal():
     ham = HamiltonianSpec(gen=_number_op())
     grid = np.arange(-3.0, 10.0, 0.01)
-    dens = spectral_density(None, ham, Z0, Z0, grid, 0.05)
+    dens = spectral_density(ham, Z0, Z0, grid, 0.05)
     assert dens.min() >= -1e-6
     total = np.trapezoid(dens, x=grid)
     assert total == pytest.approx(abs(klauder_kernel(Z0, Z0)), abs=1e-2)
@@ -223,8 +230,8 @@ def test_density_is_nonnegative_and_sums_to_diagonal():
 def test_kt_roundtrip_residuals():
     ham = HamiltonianSpec(gen=_number_op())
     grid = np.arange(-3.0, 10.0, 0.01)
-    assert kt_roundtrip_residual(None, ham, Z0, Z0, 0.0, 0.05, grid) <= 2e-2
-    assert kt_roundtrip_residual(None, ham, Z0, Z0, 0.7, 0.05, grid) <= 5e-2
+    assert kt_roundtrip_residual(ham, Z0, Z0, 0.0, 0.05, grid) <= 2e-2
+    assert kt_roundtrip_residual(ham, Z0, Z0, 0.7, 0.05, grid) <= 5e-2
 
 
 def test_kt_roundtrip_zero_generator():
@@ -232,14 +239,14 @@ def test_kt_roundtrip_zero_generator():
     # the E step must stay below eta/2 or the Lorentzian is undersampled.
     ham = HamiltonianSpec(gen=_zero_op())
     grid = np.arange(-35.0, 35.0 + 1e-9, 0.025)
-    assert kt_roundtrip_residual(None, ham, Z0, Z0, 0.0, 0.05, grid) <= 1e-3
-    assert kt_roundtrip_residual(None, ham, Z0, Z0, 0.01, 0.05, grid) <= 1e-3
+    assert kt_roundtrip_residual(ham, Z0, Z0, 0.0, 0.05, grid) <= 1e-3
+    assert kt_roundtrip_residual(ham, Z0, Z0, 0.01, 0.05, grid) <= 1e-3
 
 
 def test_kt_roundtrip_rejects_narrow_grids():
     ham = HamiltonianSpec(gen=_number_op())
     with pytest.raises(DomainError):
-        kt_roundtrip_residual(None, ham, Z0, Z0, 0.0, 0.05,
+        kt_roundtrip_residual(ham, Z0, Z0, 0.0, 0.05,
                               np.arange(-0.5, 4.0, 0.01))
 
 
@@ -250,7 +257,7 @@ def test_schwinger_dyson_residual_seeded():
         z = 0.7 * (rng.normal(size=2) + 1j * rng.normal(size=2))
         zp = 0.7 * (rng.normal(size=2) + 1j * rng.normal(size=2))
         t = float(rng.uniform(0.0, 8.0))
-        assert schwinger_dyson_residual(None, ham, z, zp, t) <= 1e-6
+        assert schwinger_dyson_residual(ham, z, zp, t) <= 1e-6
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -264,10 +271,10 @@ def test_stacked_schwinger_dyson_residual_is_the_per_case_one(n, hbar):
     ham = HamiltonianSpec(gen=gen, hbar=hbar)
     z, zp = 0.5 * c(50, n + 1), 0.5 * c(50, n + 1)
     t = rng.uniform(0.0, 3.0, size=50)
-    res = schwinger_dyson_residual(None, ham, z, zp, t)
+    res = schwinger_dyson_residual(ham, z, zp, t)
     assert res.shape == (50,) and res.dtype == float
     for i in range(50):
-        one = schwinger_dyson_residual(None, ham, z[i], zp[i], t[i])
+        one = schwinger_dyson_residual(ham, z[i], zp[i], t[i])
         assert type(one) is float
         assert abs(one - res[i]) <= 1e-15
     assert res.max() <= 1e-6
@@ -275,8 +282,52 @@ def test_stacked_schwinger_dyson_residual_is_the_per_case_one(n, hbar):
 
 def test_resolvent_equation_residual():
     ham = HamiltonianSpec(gen=_number_op())
-    res = resolvent_equation_residual(None, ham, Z0, Z0, 0.5 + 0.1j)
+    res = resolvent_equation_residual(ham, Z0, Z0, 0.5 + 0.1j)
     assert res <= 1e-4
+
+
+@pytest.mark.parametrize("zp", [Z0, np.array([0.2 + 0.1j, 0.4 - 0.3j])],
+                         ids=["diagonal", "off-diagonal"])
+@pytest.mark.parametrize("hbar", [1.0, 0.7])
+def test_shared_resolvent_flow_keeps_the_separate_flow_bits(zp, hbar):
+    # the element and the equation residual written out over an
+    # oscillator_series and, for the H G term, a second _flow_points flow
+    gen = OscGenerator(0.1, np.array([0.3 + 0.1j]), np.array([0.3 + 0.1j]),
+                       np.array([[1.2]]))
+    ham = HamiltonianSpec(gen=gen, hbar=hbar)
+    # 27,632 samples at hbar 1: past the size from which numpy reuses an
+    # unnamed temporary in place, which can swap the operands of a product
+    E, dt = 0.5 + 0.1j, 1e-2
+    t_max = hbar * math.log(1e12) / E.imag
+    series = oscillator_series(gen, Z0, zp, t_max, dt, hbar)
+    iota = 1j / hbar
+    phase = np.exp(iota * E * series.times)
+    g = -iota * np.trapezoid(phase * series.values, dx=series.dt)
+    pts = _flow_points(gen, zp, len(series.times) - 1, series.dt, hbar)
+    hvals = dgamma_element(gen, Z0, pts)
+    og = -iota * np.trapezoid(phase * hvals, dx=series.dt)
+    k = klauder_kernel(Z0, zp)
+
+    got = resolvent_element(ham, Z0, zp, E)
+    assert type(got) is complex and got == complex(g)
+    assert resolvent_equation_residual(ham, Z0, zp, E) == abs(E * g - og - k) / abs(k)
+
+
+@pytest.mark.parametrize("call", [
+    lambda ham: oscillator_series(ham.gen, Z0, Z0, 1.0, 0.1),
+    lambda ham: resolvent_element(ham, Z0, Z0, 0.5 + 0.1j),
+    lambda ham: resolvent_symmetry_residual(ham, Z0, Z0, 0.5 + 0.1j),
+    lambda ham: resolvent_equation_residual(ham, Z0, Z0, 0.5 + 0.1j),
+    lambda ham: rational_element(ham, Z0, Z0, [-1.0], [1.0]),
+    lambda ham: spectral_density(ham, Z0, Z0, [0.0, 1.0], 0.05),
+    lambda ham: kt_roundtrip_residual(ham, Z0, Z0, 0.0, 0.05, [0.0, 1.0]),
+    lambda ham: schwinger_dyson_residual(ham, Z0, Z0, 0.5),
+], ids=["series", "element", "symmetry", "equation", "rational", "density",
+        "roundtrip", "schwinger-dyson"])
+def test_spectral_calls_without_a_generator_raise_domain_error(call):
+    ham = HamiltonianSpec(H=lambda z: 0.0)
+    with pytest.raises(DomainError, match="oscillator generator"):
+        call(ham)
 
 
 def test_eigencomponent_overlap_from_trajectory():
@@ -395,6 +446,6 @@ def test_non_uniform_grids_are_rejected(harmonic_series):
         spectrum_scan(harmonic_series, bent)
     ham = HamiltonianSpec(gen=_number_op())
     with pytest.raises(DomainError, match="uniform"):
-        spectral_density(None, ham, Z0, Z0, [0.0, 1.0, 3.0], 0.05)
+        spectral_density(ham, Z0, Z0, [0.0, 1.0, 3.0], 0.05)
     with pytest.raises(DomainError, match="uniform"):
         _uniform_fourier(np.ones(5), 0.0, 0.1, [0.0, 0.1, 0.2 + 1e-6], 1j)
