@@ -7,7 +7,8 @@ experiment table.  Exit codes: 0 every check passed, 1 a check failed,
 2 the config was rejected, including labels whose kernel values are not
 finite (for example klauder labels large enough to overflow exp; the
 message then names the space and the point pair), labels at which the
-coherent 2-form is degenerate, trajectories that leave the domain, and
+coherent 2-form is degenerate, trajectories that leave the domain, exact
+oscillator flows that overflow, checks whose value is not finite, and
 series, trajectories, grids or counts too short or too long to run.  NumPy's
 overflow, invalid-value and division warnings are silenced while an
 experiment runs, so a rejected config prints only its config error line.
@@ -29,8 +30,7 @@ Reports are deterministic: the same config, seed, and library version
 reproduce every output file byte for byte.  Wall time is printed to
 stdout but kept out of report.json for exactly that reason.  The seed
 defaults to 0xC0FFEE and is echoed in the report.  Experiments run
-serially; COHK_THREADS is still validated, and a value that is not a
-positive integer rejects the config.
+serially.
 """
 
 import argparse
@@ -329,16 +329,7 @@ def _write_csv(outdir, name, header, rows, files):
 
 
 def _worker_count():
-    """Validate COHK_THREADS and return the worker count, which is 1:
-    experiments run serially, since batched kernels left threads no gain."""
-    env = os.environ.get("COHK_THREADS", "").strip()
-    if env:
-        try:
-            cap = int(env)
-        except ValueError:
-            raise ConfigError("COHK_THREADS: expected an integer") from None
-        if cap < 1:
-            raise ConfigError("COHK_THREADS: must be at least 1")
+    """The worker count, 1: experiments run serially (perfbench reads it)."""
     return 1
 
 
@@ -948,7 +939,6 @@ def run_config(config_path, out_flag=None, seed_flag=None):
         seed = DEFAULT_SEED
     if seed < 0:
         raise ConfigError("params.seed: must be nonnegative")
-    _worker_count()
     outdir = _resolve_output(raw, out_flag)
     os.makedirs(outdir, exist_ok=True)
 
@@ -969,6 +959,10 @@ def run_config(config_path, out_flag=None, seed_flag=None):
             checks = exp.runner(ctx)
     except (DomainError, AxiomViolationError, DegenerateFormError, MemoryError) as err:
         raise ConfigError(f"params: {err}") from None
+    for c in checks:
+        # json would write NaN or Infinity, which strict parsers reject
+        if not math.isfinite(c.value):
+            raise ConfigError(f"params: the {c.name} check is not finite ({c.value:g})")
     report = RunReport(
         experiment=name,
         space=raw["space"],

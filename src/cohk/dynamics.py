@@ -1,10 +1,9 @@
 """Quantum dynamics as classical motion of coherent-state labels.
 
-Oscillator generators integrate exactly through the block-matrix
-exponential (flow_exact, one stacked expm call for a stack of times and
-labels); label fields integrate with fixed-step RK4
-(propagate_ode), whose oscillator stages are each one product of the
-homogeneous label [z, 1] with the block generator.
+Oscillator generators integrate exactly in flow_exact, the package's one
+exact flow: one block exponential per time, broadcast over the labels.  Label
+fields integrate with fixed-step RK4 (propagate_ode), whose oscillator stages
+are each one product of the homogeneous label [z, 1] with the block generator.
 
 Classical Hamiltonians follow the Euler-Lagrange equation of the coherent
 action in the complex chart.  With M(X, Y) = L_X R_Y K(z, z) = X* Hm Y for
@@ -14,15 +13,15 @@ the Hermitian mixed matrix Hm(z), it reads
 
 where w is the central-difference gradient of H over the real coordinates
 [Re c0, Im c0, Re c1, ...].  Each stage solves it from one eigh of Hm,
-which also decides degeneracy: the form is degenerate unless every
-eigenvalue is finite and 0 < lambda_min, lambda_max < 1e12 lambda_min.
+which also decides degeneracy (_form_eigh): the form is degenerate unless
+every eigenvalue is finite and 0 < lambda_min, lambda_max < 1e12 lambda_min.
 
 symplectic_matrix keeps the realified 2-form, the real antisymmetric
 matrix A[a, b] = 2 Im M(E_a, E_b); Poisson brackets are
 df^T A^{-1} dg / hbar.  A = -2 S J, where S is Hm acting on the real
 coordinates and J is multiplication by i there, which is orthogonal.  So
-for positive definite Hm, cond(A) = lambda_max / lambda_min, and the
-eigenvalue test is symplectic_matrix's cond(A) < 1e12 without its SVD.
+for positive definite Hm, cond(A) = lambda_max / lambda_min, and
+symplectic_matrix makes the same eigenvalue test instead of an SVD of A.
 Spaces with real charts (euclidean, reciprocal) have A = 0 identically and
 raise the degeneracy error.
 """
@@ -37,7 +36,7 @@ import numpy as np
 
 from .core import MAX_SIZE, DegenerateFormError, DomainError
 from .catalog import fd_LR, one_form_theta
-from .fock import gen_block
+from .fock import _block_exp, gen_block
 
 __all__ = [
     "AutocorrSeries",
@@ -117,44 +116,52 @@ class HamiltonianSpec:
 def flow_exact(gen, t, z, hbar=1.0):
     """Labels at times t of the flow exp(-i t H / hbar) for H = dGamma(gen).
 
-    ``t`` is one time and ``z`` one label, or ``t`` is an array of times
-    and ``z`` labels whose stack broadcasts to it; the result has shape
-    ``t.shape + (n + 1,)``.  The block matrices of -i t gen / hbar are
-    exponentiated in one scipy ``expm`` call on their stack
-    (scaling-and-squaring, matrix by matrix, so a stacked case gets the
-    same bits as a single one) and applied through the affine action.
-    The cases whose exponential overflows, and only those, are halved
-    recursively, up to 40 times.
+    The result has the broadcast shape of ``t.shape`` and ``z.shape[:-1]``,
+    plus the coordinate axis.  One ``_block_exp`` call exponentiates
+    -i t gen / hbar for each entry of ``t``; the affine action applies it, so
+    a label gets the same bits in any stack.  Cases whose exponential
+    overflows, and only those, flow in two halves, up to 40 times over; a
+    flow whose labels overflow raises DomainError naming t.
     """
-    t = np.asarray(t, dtype=float)
-    z = np.asarray(z, dtype=complex)
-    m = z.shape[-1]
-    out = _flow(gen, t.reshape(-1), np.broadcast_to(z, t.shape + (m,)).reshape(-1, m),
-                hbar, 0)
-    return out.reshape(t.shape + (m,))
+    return _flow(gen, np.asarray(t, dtype=float), np.asarray(z, dtype=complex), hbar, 0)
+
+
+def _affine(M, z):
+    """The affine action [rho + z0 + p* zhat, q + X zhat] of the blocks
+    M = [[1, p*, rho], [0, X, q], [0, 0, 1]] on the labels z, broadcast."""
+    zh = z[..., 1:]
+    out = np.empty(np.broadcast_shapes(M.shape[:-2], z.shape[:-1]) + z.shape[-1:], complex)
+    out[..., 0] = M[..., 0, -1] + z[..., 0] + np.vecdot(np.conj(M[..., 0, 1:-1]), zh)
+    out[..., 1:] = M[..., 1:-1, -1] + (M[..., 1:-1, 1:-1] @ zh[..., None])[..., 0]
+    return out
 
 
 def _flow(gen, t, z, hbar, depth):
-    """flow_exact on a flat stack: times (k,), labels (k, n + 1)."""
-    from scipy.linalg import expm
-
+    """flow_exact at split depth ``depth``: t is 2^-depth times the time asked for."""
     # t / hbar first, a real division, as Python's complex -1j * t / hbar
     # divides each part; numpy's complex division multiplies by 1 / hbar
-    M = expm(np.multiply.outer(-1j * (t / hbar), gen_block(gen)))
+    M = _block_exp(gen, -1j * (t / hbar))
     ok = np.isfinite(M.view(float)).all(axis=(-2, -1))
-    out = np.empty_like(z)
-    # the affine action [rho + z0 + p* zhat, q + X zhat] of each block
-    # [[1, p*, rho], [0, X, q], [0, 0, 1]]
-    A, zh = M[ok], z[ok, 1:]
-    out[ok, 0] = A[:, 0, -1] + z[ok, 0] + np.vecdot(np.conj(A[:, 0, 1:-1]), zh)
-    out[ok, 1:] = A[:, 1:-1, -1] + (A[:, 1:-1, 1:-1] @ zh[..., None])[..., 0]
-    if not ok.all():
+    if ok.all():
+        out = _affine(M, z)
+    else:
+        # every case on its own, so the overflowing ones split alone
+        shape = np.broadcast_shapes(t.shape, z.shape[:-1])
+        t, ok = (np.broadcast_to(a, shape) for a in (t, ok))
+        M = np.broadcast_to(M, shape + M.shape[-2:])
+        z = np.broadcast_to(z, shape + z.shape[-1:])
         bad = ~ok
         if depth >= 40:
             raise DomainError(f"the flow of this generator overflows at "
                               f"t={t[bad][0] * 2 ** depth:g} even after step splitting")
+        out = np.empty(z.shape, complex)
+        out[ok] = _affine(M[ok], z[ok])
         half = _flow(gen, t[bad] / 2.0, z[bad], hbar, depth + 1)
         out[bad] = _flow(gen, t[bad] / 2.0, half, hbar, depth + 1)
+    finite = np.isfinite(out.view(float)).all(axis=-1)
+    if not finite.all():
+        t_bad = np.broadcast_to(t, finite.shape)[~finite][0] * 2 ** depth
+        raise DomainError(f"the flow of this generator overflows at t={t_bad:g}")
     return out
 
 
@@ -328,17 +335,27 @@ def _real_chart_error(space):
     return DegenerateFormError(f"coherent 2-form vanishes identically on {space.space_id}")
 
 
+def _form_eigh(space, z):
+    """Hm at z and eigh of S = Hm + Hm* (the FD oracle's Hm need not be
+    Hermitian, and eigh reads one triangle): the one degeneracy test, which
+    the module docstring states."""
+    if not space.complex_chart:
+        raise _real_chart_error(space)
+    Hm = _mixed_matrix(space, z)
+    S = Hm + Hm.conj().T
+    if np.isfinite(S).all():
+        lam, V = np.linalg.eigh(S)
+        if np.isfinite(lam).all() and 0.0 < lam[0] and lam[-1] < 1e12 * lam[0]:
+            return Hm, lam, V
+    raise DegenerateFormError(f"coherent 2-form degenerate at z = {z!r}")
+
+
 def symplectic_matrix(space, z):
     """Real antisymmetric matrix of the coherent 2-form in realified
     coordinates; raises DegenerateFormError when numerically singular."""
-    if not space.complex_chart:
-        raise _real_chart_error(space)
-    H = _mixed_matrix(space, z)
+    H = _form_eigh(space, z)[0]
     D, Dh = _realifier(space.coord_len)
-    A = 2.0 * np.imag(Dh @ H @ D)
-    if not np.all(np.isfinite(A)) or np.linalg.cond(A) >= 1e12:
-        raise DegenerateFormError(f"coherent 2-form degenerate at z = {z!r}")
-    return A
+    return 2.0 * np.imag(Dh @ H @ D)
 
 
 def _grad(space, f, arr, scalar, h=None, stacked=False):
@@ -362,21 +379,10 @@ def _el_velocity(space, H, y, scalar, hbar, h=None, stacked=False):
     z' = -(i/hbar) Hm^{-1} g with g = (w[0::2] + i w[1::2]) / 2, solved as
     (Hm + Hm*)^{-1} (2 g) from one eigendecomposition that also decides
     degeneracy (see the module docstring)."""
-    if not space.complex_chart:
-        raise _real_chart_error(space)
-    z = _from_coords(space, y, scalar)
-    Hm = _mixed_matrix(space, z)
-    # twice the Hermitian part: the FD oracle's Hm need not be Hermitian and
-    # eigh reads one triangle; A is made of its entries, so both are finite
-    # or neither is
-    S = Hm + Hm.conj().T
-    if np.isfinite(S).all():
-        lam, V = np.linalg.eigh(S)
-        if np.isfinite(lam).all() and 0.0 < lam[0] and lam[-1] < 1e12 * lam[0]:
-            w = _grad(space, H, y, scalar, h, stacked)
-            g2 = w[0::2] + 1j * w[1::2]
-            return (-1j / hbar) * (V @ ((V.conj().T @ g2) / lam))
-    raise DegenerateFormError(f"coherent 2-form degenerate at z = {z!r}")
+    _, lam, V = _form_eigh(space, _from_coords(space, y, scalar))
+    w = _grad(space, H, y, scalar, h, stacked)
+    g2 = w[0::2] + 1j * w[1::2]
+    return (-1j / hbar) * (V @ ((V.conj().T @ g2) / lam))
 
 
 def hamiltonian_vector_field(space, H, z, hbar=1.0, grad_h=None):

@@ -208,11 +208,17 @@ def gen_block(gen):
     return M
 
 
-def osc_exp(gen, t=1.0):
-    """exp(t * gen) as a semigroup element, via the block matrix exponential."""
+def _block_exp(gen, s):
+    """expm(s * gen_block(gen)) stacked over the entries of ``s``: the one
+    matrix exponential, matrix by matrix, so stacking keeps the bits."""
     from scipy.linalg import expm
 
-    return osc_from_block(expm(t * gen_block(gen)))
+    return expm(np.multiply.outer(s, gen_block(gen)))
+
+
+def osc_exp(gen, t=1.0):
+    """exp(t * gen) as a semigroup element, via the block matrix exponential."""
+    return osc_from_block(_block_exp(gen, t))
 
 
 # ---------------------------------------------------------------------------

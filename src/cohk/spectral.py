@@ -3,10 +3,10 @@
 Everything here consumes the Klauder K_t(z, z') = <z| e^{-i t H / hbar} |z'>
 of H = dGamma(gen), given labels and a HamiltonianSpec with ``gen`` set (no
 space), on a uniform grid of exact oscillator flow points.  The flow is built
-by doubling: the block exponential of m steps, for m = 1, 2, 4, ..., maps the
-first m points onto the next m, so a series of N steps costs log2(N)
-exponentials and matrix products and each point carries the rounding of at
-most log2(N) of them.  Time averages pick out eigencomponents, a
+by doubling: flow_exact over m steps, for m = 1, 2, 4, ..., maps the first m
+points onto the next m, so a series of N steps costs log2(N) flow_exact calls
+and each point carries the rounding of at most log2(N) of them; a flow that
+overflows raises DomainError.  Time averages pick out eigencomponents, a
 Hann-windowed Fourier scan locates spectral lines, and damped one-sided
 quadrature
 
@@ -30,7 +30,7 @@ import numpy as np
 
 from .core import MAX_SIZE, DomainError
 from .dynamics import AutocorrSeries, flow_exact
-from .fock import dgamma_element, gen_block, klauder_kernel
+from .fock import dgamma_element, klauder_kernel
 
 __all__ = [
     "SpectralLine",
@@ -59,24 +59,17 @@ class SpectralLine:
 
 
 def _flow_points(gen, z_start, n_steps, dt, hbar):
-    """Labels psi(k dt) for k = 0..n_steps, by doubling.
-
-    Homogeneous labels [z, 1] transform by the block exponential
-    P_m = expm(-i m dt gen_block / hbar), so pts[m:2m] = pts[:m] @ P_m.T
-    for m = 1, 2, 4, ...  Each P_m is a fresh exponential rather than the
-    square of the previous one, which would compound its rounding.
-    """
-    from scipy.linalg import expm
-
-    G = (-1j * dt / hbar) * gen_block(gen)
-    pts = np.ones((n_steps + 1, gen.n + 2), dtype=complex)
-    pts[0, :-1] = z_start
+    """Labels psi(k dt) for k = 0..n_steps, by doubling (module docstring).
+    Each doubling is a fresh flow_exact of m dt, exact for m = 2^j, not the
+    square of the previous map, which would compound its rounding."""
+    pts = np.empty((n_steps + 1, gen.n + 1), dtype=complex)
+    pts[0] = z_start
     m = 1
     while m <= n_steps:
         k = min(m, n_steps + 1 - m)
-        pts[m:m + k, :-1] = pts[:k] @ expm(m * G)[:-1].T
+        pts[m:m + k] = flow_exact(gen, m * dt, pts[:k], hbar)
         m += k
-    return pts[:, :-1]
+    return pts
 
 
 def _series_points(gen, zp, t_max, dt, hbar):

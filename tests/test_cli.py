@@ -177,6 +177,17 @@ def test_non_finite_values_exit_two(tmp_path, capsys, experiment, params, path):
     ("resolvent", {"E": [0.5, 1e300]}, r"Im E=1e\+300 damps the series .* within one step"),
     ("spectrum", {"eta": 1e-9}, r"eta=1e-09 needs 5\.53e\+11 steps of dt=0\.05"),
     ("resolvent", {"E": [0.5, 1e-300]}, r"Im E=1e-300 needs 2\.76e\+303 steps of dt=0\.01"),
+    # growth e^{50 t} overflows the doubled series flows and the sd-residual
+    # flows (they wrote NaN into density.csv and report.json), and e^{1e9 t}
+    # overflows every half of a split flow (halving it ran for minutes)
+    ("spectrum", {"gen": {"X": [[[0, 50]]]}}, r"flow of this generator overflows at t="),
+    ("resolvent", {"gen": {"X": [[[0, 50]]]}}, r"flow of this generator overflows at t="),
+    ("sd-residual", {"gen": {"X": [[[0, 50]]]}}, r"flow of this generator overflows at t="),
+    ("sd-residual", {"gen": {"X": [[[0, 1e9]]]}}, r"flow of this generator overflows at t="),
+    # a check value that is not finite would be written as NaN, not JSON
+    ("ccr-check", {"p": [1e300]}, r"ccr_product_residual_over_scale check is not finite"),
+    ("dynamics", {"z0": [1e300, 1e300], "t_end": 0.2, "dt": 0.01},
+     r"norm_drift_rel check is not finite"),
 ])
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_unrunnable_configs_exit_two(tmp_path, capsys, experiment, params, message):
@@ -357,24 +368,3 @@ def test_reruns_are_byte_identical(tmp_path, experiment, params):
         assert (tmp_path / "a" / name).read_bytes() == (
             tmp_path / "b" / name
         ).read_bytes(), name
-
-
-def test_thread_cap_does_not_change_bytes(tmp_path, monkeypatch):
-    cfg = _base(params={"samples": 6, "n_points": 10})
-    path = _write_config(tmp_path, cfg)
-    monkeypatch.setenv("COHK_THREADS", "1")
-    run_config(path, out_flag=str(tmp_path / "serial"))
-    monkeypatch.setenv("COHK_THREADS", "4")
-    run_config(path, out_flag=str(tmp_path / "fanned"))
-    for name in sorted(os.listdir(tmp_path / "serial")):
-        assert (tmp_path / "serial" / name).read_bytes() == (
-            tmp_path / "fanned" / name
-        ).read_bytes(), name
-
-
-def test_bad_thread_cap_is_a_config_error(tmp_path, monkeypatch):
-    cfg = _base(params={"samples": 2, "n_points": 5})
-    path = _write_config(tmp_path, cfg)
-    monkeypatch.setenv("COHK_THREADS", "many")
-    with pytest.raises(ConfigError, match="COHK_THREADS"):
-        run_config(path, out_flag=str(tmp_path / "out"))

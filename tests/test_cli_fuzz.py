@@ -5,7 +5,9 @@ default, a wrong type, 0, a negative, a subnormal or a huge value; the
 structural ones (points, generators, labels, vectors) take those numbers
 as their entries.  Whatever comes out, ``main(["run", ...])`` returns 0
 (checks passed), 1 (a check failed) or 2 (config rejected) and never
-raises: a traceback must not pass for a failed check.
+raises: a traceback must not pass for a failed check.  A run that returns
+0 or 1 leaves a report.json that a strict JSON parser accepts, so no check
+value is NaN or infinite.
 
 One test tries every value class of every parameter on its own; a
 hypothesis test combines up to three of them, on every catalog space.
@@ -87,12 +89,21 @@ def _values(param, space):
     return ["x"] + NUMBERS + [-HUGE_FLOAT]
 
 
+def _reject_constant(name):
+    raise ValueError(f"report.json holds {name}, which is not JSON")
+
+
 def _exit_code(tmp_path, space, experiment, params):
     path = tmp_path / "config.json"
     path.write_text(json.dumps({"space": space, "experiment": experiment,
                                 "params": params}))
+    report = tmp_path / "out" / "report.json"
+    report.unlink(missing_ok=True)
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-        return main(["run", str(path), "--out", str(tmp_path / "out")])
+        code = main(["run", str(path), "--out", str(tmp_path / "out")])
+    if code in (0, 1):
+        json.loads(report.read_text(), parse_constant=_reject_constant)
+    return code
 
 
 def test_every_value_class_of_every_parameter(tmp_path):

@@ -106,6 +106,16 @@ def test_stacked_flow_exact_is_the_per_case_flow(n, hbar):
     # one label broadcast over a stack of times
     assert flow_exact(gen, t.reshape(5, 10), z[0], hbar).tobytes() == \
         np.stack([flow_exact(gen, tk, z[0], hbar) for tk in t]).tobytes()
+    # one time over the label stack: one exponential, broadcast
+    one = flow_exact(gen, t[0], z, hbar)
+    assert one.shape == z.shape
+    for i in range(50):
+        assert flow_exact(gen, t[0], z[i], hbar).tobytes() == one[i].tobytes()
+    # times (3, 1) against labels (50,) give flows (3, 50)
+    grid = flow_exact(gen, t[:3, None], z, hbar)
+    assert grid.shape == (3, 50, n + 1)
+    for j in range(3):
+        assert flow_exact(gen, t[j], z, hbar).tobytes() == grid[j].tobytes()
 
 
 def test_stacked_flow_exact_splits_only_the_overflowing_case():
@@ -118,6 +128,11 @@ def test_stacked_flow_exact_splits_only_the_overflowing_case():
         flows = flow_exact(gen, t, z)
         for i in range(len(t)):
             assert flow_exact(gen, t[i], z[i]).tobytes() == flows[i].tobytes()
+        # every time against the two labels that stay finite at t = 1.5
+        grid = flow_exact(gen, t[:, None], z[[1, 3]])
+        for i in range(len(t)):
+            for j, k in enumerate([1, 3]):
+                assert flow_exact(gen, t[i], z[k]).tobytes() == grid[i, j].tobytes()
     assert np.isfinite(flows).all()
     assert flows[1, 0] == z[1, 0]
     assert flows[1, 1] == pytest.approx(1e-100 * math.exp(384.0) * math.exp(384.0), rel=1e-12)
@@ -132,6 +147,15 @@ def test_stacked_flow_exact_raises_when_a_case_overflows_after_40_splits():
         assert np.isfinite(flow_exact(gen, t[:2], np.tile(Z0, (2, 1)))).all()
         with pytest.raises(DomainError, match="t=1 even after step splitting"):
             flow_exact(gen, t, np.tile(Z0, (3, 1)))
+
+
+def test_flow_exact_raises_once_a_split_half_overflows_the_label():
+    # growth e^{1e9 t}: the exponential overflows until t / 2^21, and the
+    # label overflows on the way; the first overflowing half ends the flow
+    gen = OscGenerator(0.0, np.zeros(1), np.zeros(1), np.array([[1e9j]]))
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(DomainError, match=r"overflows at t=1$"):
+            flow_exact(gen, np.array([0.5, 1.0]), Z0)
 
 
 def test_oscillator_field_is_the_flow_derivative():

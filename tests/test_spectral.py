@@ -13,7 +13,7 @@ from scipy.linalg import expm
 
 from cohk.core import DomainError
 from cohk.catalog import make_space
-from cohk.dynamics import HamiltonianSpec, propagate_ode
+from cohk.dynamics import HamiltonianSpec, flow_exact, propagate_ode
 from cohk.fock import (
     OscGenerator,
     dgamma_element,
@@ -374,6 +374,23 @@ def test_flow_points_edge_counts(n_steps):
     assert pts.shape == (n_steps + 1, 2)
     assert np.array_equal(pts[0], z)
     assert np.abs(pts - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("hbar", [1.0, 0.7])
+def test_flow_points_at_powers_of_two_are_flow_exact(n, hbar):
+    # each doubling is one flow_exact of m dt, exact for m = 2^j, so the
+    # point 2^j steps on has the bits of the direct flow
+    rng = np.random.default_rng(7)
+    gen = OscGenerator(complex(rng.normal(), rng.normal()),
+                       rng.normal(size=n) + 1j * rng.normal(size=n),
+                       rng.normal(size=n) + 1j * rng.normal(size=n),
+                       0.3 * (rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))))
+    z = rng.normal(size=n + 1) + 1j * rng.normal(size=n + 1)
+    dt = 1e-2
+    pts = _flow_points(gen, z, 1500, dt, hbar)
+    for j in range(11):
+        assert pts[2 ** j].tobytes() == flow_exact(gen, 2 ** j * dt, z, hbar).tobytes()
 
 
 def test_flow_points_matches_step_loop_non_hermitian():
