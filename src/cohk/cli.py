@@ -8,10 +8,14 @@ experiment table.  Exit codes: 0 every check passed, 1 a check failed,
 finite (for example klauder labels large enough to overflow exp; the
 message then names the space and the point pair), labels at which the
 coherent 2-form is degenerate, trajectories that leave the domain, exact
-oscillator flows that overflow, checks whose value is not finite, and
-series, trajectories, grids or counts too short or too long to run.  NumPy's
-overflow, invalid-value and division warnings are silenced while an
-experiment runs, so a rejected config prints only its config error line.
+oscillator flows that overflow, checks or data-file entries whose value is
+not finite, series, trajectories, grids or counts too short or too long to
+run, and output paths that cannot be written.  The experiment runners
+return their data tables; ``run_config`` alone creates the output
+directory and its files, and only once the run is accepted, so a rejected
+run writes nothing.  NumPy's overflow, invalid-value and division warnings
+are silenced while an experiment runs, so a rejected config prints only
+its config error line.
 
 The config is a single JSON object::
 
@@ -45,6 +49,7 @@ import numpy as np
 
 from . import __version__
 from .catalog import (
+    KlauderSpace,
     geometry_report,
     infinitesimal_cs_margin,
     make_space,
@@ -165,8 +170,6 @@ _SPACE_KEYS = {
     "debranges": {"preset"},
 }
 
-_SCALAR_KINDS = {"reciprocal", "szego", "schur", "debranges"}
-
 
 def _build_space(desc, path="space"):
     if not isinstance(desc, dict):
@@ -185,34 +188,23 @@ def _build_space(desc, path="space"):
     if "preset" in desc and not isinstance(desc["preset"], str):
         raise ConfigError(f"{path}.preset: expected a string")
     try:
-        return make_space(desc), kind
+        return make_space(desc)
     except DomainError as err:
         raise ConfigError(f"{path}: {err}") from None
 
 
-def _parse_point(space, kind, v, path):
+def _parse_point(space, v, path):
     """One point in the space's label chart.
 
-    Scalar-label spaces take a number or [re, im]; the vector spaces take
-    an array of those.  Real charts (euclidean coordinates, reciprocal
-    points) reject nonzero imaginary parts.
+    Scalar charts take a number or [re, im]; vector charts take an array
+    of those.  Real charts (euclidean, reciprocal) reject nonzero
+    imaginary parts.
     """
-    if kind in _SCALAR_KINDS:
-        c = _as_complex(v, path)
-        if kind == "reciprocal":
-            if c.imag != 0.0:
-                raise ConfigError(f"{path}: reciprocal points are real")
-            coords = c.real
-        else:
-            coords = c
-    else:
-        arr = _as_complex_vector(v, path)
-        if kind == "euclidean":
-            if np.any(arr.imag != 0.0):
-                raise ConfigError(f"{path}: euclidean coordinates must be real")
-            coords = arr.real
-        else:
-            coords = arr
+    coords = _as_complex(v, path) if space.scalar_chart else _as_complex_vector(v, path)
+    if not space.complex_chart:
+        if np.any(coords.imag != 0.0):
+            raise ConfigError(f"{path}: this space's coordinates are real")
+        coords = coords.real
     try:
         return space.validate(coords)
     except DomainError as err:
@@ -304,10 +296,20 @@ def _fmt(v):
 _CONVERSION = {float: "%.17g", np.float64: "%.17g", int: "%d", np.int64: "%d"}
 
 
-def _write_csv(outdir, name, header, rows, files):
+def _float_rows(a):
+    """The rows of a 2-D array as lists of Python floats, converted 512 rows
+    at a time, so a long table never becomes one list of Python floats."""
+    for i in range(0, len(a), 512):
+        yield from a[i:i + 512].tolist()
+
+
+def _write_csv(outdir, name, header, rows):
     """Write rows under header.  Rows of the same value types share one
     %-template, which gives _fmt's text in one call; a row holding any
-    other type (bool, str, ...) goes through _fmt value by value."""
+    other type (bool, str, ...) goes through _fmt value by value.  An array
+    is written through _float_rows: Python floats format fastest."""
+    if isinstance(rows, np.ndarray):
+        rows = _float_rows(rows)
     templates = {}
     with open(os.path.join(outdir, name), "w", newline="") as fh:
         fh.write(",".join(header) + "\n")
@@ -325,7 +327,13 @@ def _write_csv(outdir, name, header, rows, files):
                 fh.write(template % tuple(row))
             else:
                 fh.write(",".join(map(_fmt, row)) + "\n")
-    files.append(name)
+
+
+def _finite_rows(rows):
+    """Whether every float of a table's rows (an array, or row sequences) is finite."""
+    if isinstance(rows, np.ndarray):
+        return bool(np.isfinite(rows).all())
+    return all(math.isfinite(v) for row in rows for v in row if isinstance(v, float))
 
 
 def _worker_count():
@@ -367,11 +375,8 @@ class Experiment:
 @dataclass
 class RunContext:
     space: object
-    kind: str
     params: dict  # parsed values
     rng: np.random.Generator
-    outdir: str
-    files: list
     dim: int = 0  # klauder mode count, drawn by _klauder_preamble
 
     def label(self, name, default=None):
@@ -379,7 +384,7 @@ class RunContext:
         ``default``, or the documented label [-1/2, 1, ...] if that is None."""
         v = self.params[name]
         if v is not None:
-            return _parse_point(self.space, "klauder", v, f"params.{name}")
+            return _parse_point(self.space, v, f"params.{name}")
         return self.space.validate(_default_label(self.dim) if default is None else default)
 
 
@@ -406,7 +411,7 @@ def _klauder_preamble(ctx, exp):
     """The space check, mode-count draw and generator parsing that every
     klauder experiment starts with.  The draw must stay the first one from
     the seeded stream, which every report depends on."""
-    if ctx.kind != "klauder":
+    if not isinstance(ctx.space, KlauderSpace):
         raise ConfigError(f"space.kind: the {exp.name} experiment runs on a klauder space")
     ctx.dim = ctx.space.sample_point(ctx.rng).shape[0] - 1
     if "gen" in ctx.params:
@@ -419,7 +424,7 @@ def _run_gram_psd(ctx):
     if p["points"] is not None:
         if not isinstance(p["points"], list) or len(p["points"]) < 2:
             raise ConfigError("params.points: expected at least two points")
-        sets = [[_parse_point(ctx.space, ctx.kind, v, f"params.points[{i}]")
+        sets = [[_parse_point(ctx.space, v, f"params.points[{i}]")
                  for i, v in enumerate(p["points"])]]
     else:
         if p["n_points"] < 2:
@@ -434,8 +439,6 @@ def _run_gram_psd(ctx):
         (i, r.min_eigenvalue, r.max_eigenvalue, r.hermiticity_defect)
         for i, r in enumerate(reports)
     ]
-    _write_csv(ctx.outdir, "gram_eigs.csv",
-               ["sample", "min_eig", "max_eig", "herm_defect"], rows, ctx.files)
     worst = min(reports, key=lambda r: r.min_eigenvalue)
     floor = -tol_abs - tol_rel * max(1.0, worst.max_eigenvalue)
     checks = [
@@ -444,7 +447,7 @@ def _run_gram_psd(ctx):
         _check_le("hermiticity_defect",
                   max(r.hermiticity_defect for r in reports), 1e-12),
     ]
-    return checks
+    return checks, [("gram_eigs.csv", ["sample", "min_eig", "max_eig", "herm_defect"], rows)]
 
 
 def _run_geometry_check(ctx):
@@ -458,11 +461,9 @@ def _run_geometry_check(ctx):
     margin = infinitesimal_cs_margin(ctx.space, Z, X) / scale
     wtg = psd_check(wtg_matrix(ctx.space, Z, X), tol_rel=1e-7, tol_abs=1e-8)
     rel_g, rel_theta, rel_omega = rep.rel_discrepancies
-    rows = zip(range(len(Z)), rel_g.tolist(), rel_theta.tolist(), rel_omega.tolist(),
-               margin.tolist(), wtg.min_eigenvalue.tolist())
-    _write_csv(ctx.outdir, "geometry_cases.csv",
-               ["case", "rel_g", "rel_theta", "rel_omega", "cs_margin", "wtg_min_eig"],
-               rows, ctx.files)
+    # the case numbers are whole floats, which %.17g writes as integers
+    rows = np.column_stack([np.arange(len(Z), dtype=float), rel_g, rel_theta, rel_omega,
+                            margin, wtg.min_eigenvalue])
     # cases without closed forms compare the FD oracle with itself and read 0
     checks = [
         _check_le("closed_vs_fd_rel", np.max(np.maximum(rel_g, rel_theta)), p["rel_tol"]),
@@ -470,7 +471,8 @@ def _run_geometry_check(ctx):
         Check("wtg_min_eigenvalue", float(np.min(wtg.min_eigenvalue)), -1e-8, ">=",
               bool(np.all(wtg.passed))),
     ]
-    return checks
+    header = ["case", "rel_g", "rel_theta", "rel_omega", "cs_margin", "wtg_min_eig"]
+    return checks, [("geometry_cases.csv", header, rows)]
 
 
 def _run_weyl_check(ctx):
@@ -494,13 +496,11 @@ def _run_weyl_check(ctx):
         ("group_commutator", rep.group_commutator, rep.scale),
         ("normal_ordering", colon, 1.0),
     ]
-    _write_csv(ctx.outdir, "weyl_residuals.csv",
-               ["identity", "residual", "scale"], rows, ctx.files)
     checks = [
         _check_le("weyl_max_residual_over_scale", rep.max_residual / rep.scale, p["tol"]),
         _check_le("normal_ordering_residual", colon, p["tol"]),
     ]
-    return checks
+    return checks, [("weyl_residuals.csv", ["identity", "residual", "scale"], rows)]
 
 
 _EPS_MIN = 1e-150  # smallest ccr-check step: its square is still a normal float
@@ -527,19 +527,17 @@ def _run_ccr_check(ctx):
         (e, d.real, d.imag, (d / e ** 2).real, (d / e ** 2).imag)
         for e, d in zip(eps_list, rep.deltas)
     ]
-    _write_csv(ctx.outdir, "ccr_deltas.csv",
-               ["eps", "delta_re", "delta_im", "quot_re", "quot_im"], rows, ctx.files)
     scale = max(1.0, abs(klauder_kernel(z, zp)))
     checks = [_check_le("ccr_product_residual_over_scale",
                         rep.residual_product / scale, p["tol"])]
-    return checks
+    return checks, [("ccr_deltas.csv", ["eps", "delta_re", "delta_im", "quot_re", "quot_im"],
+                     rows)]
 
 
 def _complex_rows(times, values):
-    """Rows [t, re0, im0, re1, im1, ...] of complex samples, one per time, as
-    lists of Python floats (which _fmt formats fastest)."""
+    """Rows [t, re0, im0, re1, im1, ...] of complex samples, one per time."""
     values = np.ascontiguousarray(values, dtype=complex).reshape(len(times), -1)
-    return np.column_stack([times, values.view(float)]).tolist()
+    return np.column_stack([times, values.view(float)])
 
 
 def _horizon(p):
@@ -560,11 +558,11 @@ def _whole(traj):
     return traj
 
 
-def _traj_csv(ctx, name, traj):
+def _traj_table(ctx, name, traj):
     header = ["t"]
     for j in range(ctx.space.coord_len):
         header += [f"re{j}", f"im{j}"]
-    _write_csv(ctx.outdir, name, header, _complex_rows(traj.times, traj.points), ctx.files)
+    return name, header, _complex_rows(traj.times, traj.points)
 
 
 def _run_dynamics(ctx):
@@ -573,10 +571,7 @@ def _run_dynamics(ctx):
     t_end, dt = _horizon(p)
     ham = HamiltonianSpec(gen=gen)
     traj = _whole(propagate_ode(ctx.space, ham, z0, t_end, dt))
-    _traj_csv(ctx, "trajectory.csv", traj)
     series = autocorrelation(ctx.space, z0, traj)
-    _write_csv(ctx.outdir, "autocorr.csv", ["t", "re", "im"],
-               _complex_rows(series.times, series.values), ctx.files)
 
     exact = _flow_points(gen, z0, len(traj.points) - 1, dt, ham.hbar)
     err = float(np.max(np.abs(traj.points - exact)))
@@ -592,7 +587,9 @@ def _run_dynamics(ctx):
         norms = ctx.space.kernel(traj.points, traj.points).real
         drift = float(np.max(np.abs(norms - norms[0])) / norms[0])
         checks.append(_check_le("norm_drift_rel", drift, p["norm_tol"]))
-    return checks
+    autocorr = _complex_rows(series.times, series.values)
+    return checks, [_traj_table(ctx, "trajectory.csv", traj),
+                    ("autocorr.csv", ["t", "re", "im"], autocorr)]
 
 
 def _run_spectrum(ctx):
@@ -612,13 +609,11 @@ def _run_spectrum(ctx):
     series = oscillator_series(gen, z, zp, t_max, dt)
     swapped = None if same_label else oscillator_series(gen, zp, z, t_max, dt)
     lines = spectrum_scan(series, grid, swapped=swapped, floor=p["floor"])
-    _write_csv(ctx.outdir, "lines.csv", ["E", "weight"],
-               [(l.energy, l.weight) for l in lines], ctx.files)
     ham = HamiltonianSpec(gen=gen)
     # by keyword: perfbench's tracing hook reads these arguments by name
     dens = spectral_density(ham=ham, z=z, zp=zp, E_grid=grid, eta=eta, dt=dt)
-    _write_csv(ctx.outdir, "density.csv", ["E", "density"],
-               list(zip(grid, dens)), ctx.files)
+    tables = [("lines.csv", ["E", "weight"], [(l.energy, l.weight) for l in lines]),
+              ("density.csv", ["E", "density"], np.column_stack([grid, dens]))]
     checks = [_check_ge("lines_found", float(len(lines)), 1.0)]
     if same_label and lines:
         # completeness: the scan weights are real and sum to K(z,z) when the
@@ -630,7 +625,7 @@ def _run_spectrum(ctx):
                                 abs(ksum - kref) / max(1.0, abs(kref)),
                                 p["completeness_tol"]))
         checks.append(_check_ge("density_min", float(np.min(dens)), -1e-6))
-    return checks
+    return checks, tables
 
 
 def _run_resolvent(ctx):
@@ -642,8 +637,6 @@ def _run_resolvent(ctx):
         raise ConfigError("params.E: needs a positive imaginary part")
     ham = HamiltonianSpec(gen=p["gen"])
     g = resolvent_element(ham, z, zp, E, t_max=t_max, dt=dt)
-    _write_csv(ctx.outdir, "resolvent.csv", ["E_re", "E_im", "G_re", "G_im"],
-               [(E.real, E.imag, g.real, g.imag)], ctx.files)
     eq = resolvent_equation_residual(ham, z, zp, E, t_max=t_max, dt=dt)
     sym = resolvent_symmetry_residual(ham, z, zp, E, t_max=t_max, dt=dt)
     scale = max(1.0, abs(ctx.space.kernel(z, zp)))
@@ -651,7 +644,8 @@ def _run_resolvent(ctx):
         _check_le("resolvent_equation_residual", eq, p["eq_tol"]),
         _check_le("symmetry_residual_over_scale", sym / scale, p["sym_tol"]),
     ]
-    return checks
+    return checks, [("resolvent.csv", ["E_re", "E_im", "G_re", "G_im"],
+                     [(E.real, E.imag, g.real, g.imag)])]
 
 
 def _quadratic_energy(space):
@@ -672,7 +666,6 @@ def _run_df_propagate(ctx):
         raise ConfigError("params.z0: the orbit angle needs a nonzero mode coordinate")
     ham = HamiltonianSpec(H=_quadratic_energy(ctx.space), stacked=True)
     traj = _whole(el_integrate(ctx.space, ham, z0, t_end, dt))
-    _traj_csv(ctx, "trajectory.csv", traj)
     t_fin = float(traj.times[-1])
     got = np.asarray(traj.points[-1], dtype=complex)
     want = np.asarray(z0, dtype=complex).copy()
@@ -706,7 +699,7 @@ def _run_df_propagate(ctx):
         expo = math.log2(d2 / d1)
         checks.append(_check_le("stationarity_exponent_gap",
                                 abs(expo - 2.0), p["exponent_tol"]))
-    return checks
+    return checks, [_traj_table(ctx, "trajectory.csv", traj)]
 
 
 def _run_sd_residual(ctx):
@@ -725,16 +718,14 @@ def _run_sd_residual(ctx):
         draws.append((z, zp, t))
     Z, Zp, T = (np.asarray(a) for a in zip(*draws))
     residuals = schwinger_dyson_residual(ham, Z, Zp, T)
-    rows = zip(range(len(T)), T.tolist(), residuals.tolist())
-    _write_csv(ctx.outdir, "sd_residuals.csv", ["sample", "t", "residual"],
-               rows, ctx.files)
+    rows = list(zip(range(len(T)), T.tolist(), residuals.tolist()))
     zd = ctx.space.validate(_default_label(ctx.dim))
     eq = resolvent_equation_residual(ham, zd, zd, p["E"])
     checks = [
         _check_le("sd_max_residual", np.max(residuals), p["tol"]),
         _check_le("resolvent_equation_residual", eq, p["eq_tol"]),
     ]
-    return checks
+    return checks, [("sd_residuals.csv", ["sample", "t", "residual"], rows)]
 
 
 EXPERIMENTS = {
@@ -923,7 +914,7 @@ def run_config(config_path, out_flag=None, seed_flag=None):
     """Execute one experiment config; returns the RunReport."""
     t_start = time.perf_counter()
     raw = _load_config(config_path)
-    space, kind = _build_space(raw["space"])
+    space = _build_space(raw["space"])
     name = raw["experiment"]
     if not isinstance(name, str) or name not in EXPERIMENTS:
         known = ", ".join(sorted(EXPERIMENTS))
@@ -940,29 +931,24 @@ def run_config(config_path, out_flag=None, seed_flag=None):
     if seed < 0:
         raise ConfigError("params.seed: must be nonnegative")
     outdir = _resolve_output(raw, out_flag)
-    os.makedirs(outdir, exist_ok=True)
 
-    ctx = RunContext(
-        space=space,
-        kind=kind,
-        params=params,
-        rng=np.random.default_rng(seed),
-        outdir=outdir,
-        files=[],
-    )
+    ctx = RunContext(space=space, params=params, rng=np.random.default_rng(seed))
     if exp.klauder:
         _klauder_preamble(ctx, exp)
     try:
         # overflow and invalid values surface as named errors (non-finite
         # labels, kernels, flows and forms are rejected), not as warnings
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            checks = exp.runner(ctx)
+            checks, tables = exp.runner(ctx)
     except (DomainError, AxiomViolationError, DegenerateFormError, MemoryError) as err:
         raise ConfigError(f"params: {err}") from None
     for c in checks:
         # json would write NaN or Infinity, which strict parsers reject
         if not math.isfinite(c.value):
             raise ConfigError(f"params: the {c.name} check is not finite ({c.value:g})")
+    for table_name, _, rows in tables:
+        if not _finite_rows(rows):
+            raise ConfigError(f"params: {table_name} holds a value that is not finite")
     report = RunReport(
         experiment=name,
         space=raw["space"],
@@ -970,13 +956,20 @@ def run_config(config_path, out_flag=None, seed_flag=None):
         library_version=__version__,
         checks=checks,
         passed=all(c.passed for c in checks),
-        data_files=list(ctx.files),
+        data_files=[t[0] for t in tables],
         params=resolved,
         wall_time_s=0.0,
     )
     payload = json.dumps(report.to_json(), indent=2, sort_keys=True) + "\n"
-    with open(os.path.join(outdir, "report.json"), "w") as fh:
-        fh.write(payload)
+    # the run is accepted: only now does it create files
+    try:
+        os.makedirs(outdir, exist_ok=True)
+        for table in tables:
+            _write_csv(outdir, *table)
+        with open(os.path.join(outdir, "report.json"), "w") as fh:
+            fh.write(payload)
+    except OSError as err:
+        raise ConfigError(f"output.path: {outdir}: {err.strerror or err}") from None
     report.data_files.append("report.json")
     report.wall_time_s = time.perf_counter() - t_start
     return report

@@ -250,7 +250,8 @@ def propagate_ode(space, ham, z0, t_end, dt):
     product with the transposed block generator -(i/hbar) gen_block(gen).
     Classical specs use the Euler-Lagrange field (see el_integrate).  If a
     step leaves the space's domain the trajectory is returned truncated at
-    the last valid point, with meta["aborted"] set.  The points are one
+    the last valid point, with meta["aborted"] set; meta["hbar"] records
+    the spec's hbar for autocorrelation.  The points are one
     array that owns its data, filled row by row with the validated labels;
     a truncated trajectory is a copy of the rows it reached.
     """
@@ -281,7 +282,7 @@ def propagate_ode(space, ham, z0, t_end, dt):
     # np.empty commits memory only for the rows a run reaches
     points = np.empty((n_steps + 1,) + np.shape(z0), dtype=np.asarray(z0).dtype)
     points[0] = z0
-    meta = {"integrator": "rk4", "dt": dt, "aborted": False}
+    meta = {"integrator": "rk4", "dt": dt, "hbar": ham.hbar, "aborted": False}
     for i in range(n_steps):
         try:
             y = _rk4_step(f, i * dt, y, dt)
@@ -296,12 +297,14 @@ def propagate_ode(space, ham, z0, t_end, dt):
 
 
 def autocorrelation(space, z, traj):
-    """K_t(z, z') sampled along a trajectory of z'."""
+    """K_t(z, z') sampled along a trajectory of z', at the hbar its
+    integrator recorded in ``traj.meta`` (1.0 if none)."""
     Z = np.asarray(traj.points)
     zz = space.stack([z])[0]
     vals = np.asarray(space.kernel(zz, Z), dtype=complex)
     dt = float(traj.times[1] - traj.times[0]) if len(traj) > 1 else 0.0
-    return AutocorrSeries(float(traj.times[0]), dt, vals, z=zz, zp=Z[0])
+    return AutocorrSeries(float(traj.times[0]), dt, vals, z=zz, zp=Z[0],
+                          hbar=traj.meta.get("hbar", 1.0))
 
 
 # ---------------------------------------------------------------------------

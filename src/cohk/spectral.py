@@ -24,13 +24,13 @@ residual takes a stack of cases and evaluates all their flows in one call.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .core import MAX_SIZE, DomainError
 from .dynamics import AutocorrSeries, flow_exact
-from .fock import dgamma_element, klauder_kernel
+from .fock import OscGenerator, dgamma_element, klauder_kernel
 
 __all__ = [
     "SpectralLine",
@@ -186,11 +186,11 @@ def spectrum_scan(series, E_grid, swapped=None, floor=1e-4):
     """Locate spectral lines by a Hann-windowed scan of the autocorrelation.
 
     The grid must be uniform (the scan is one chirp-z transform; other
-    grids raise DomainError) and at least as fine as pi/T (Rayleigh limit
-    of the window, which doubles the raw resolution).  Peaks are refined
-    twice by parabolic interpolation on 3-point grids and re-evaluated at
-    the refined energy; the Hann coherent gain of 0.5 is divided out of
-    the weight.
+    grids raise DomainError) and at least as fine as hbar pi/T in energy
+    (Rayleigh limit of the window, which doubles the raw resolution).  Peaks
+    are refined twice by parabolic interpolation on 3-point grids and
+    re-evaluated at the refined energy; the Hann coherent gain of 0.5 is
+    divided out of the weight.
     """
     E_grid = np.asarray(E_grid, dtype=float)
     if len(E_grid) < 3:
@@ -198,10 +198,11 @@ def spectrum_scan(series, E_grid, swapped=None, floor=1e-4):
     cell = float(E_grid[1] - E_grid[0])
     dt = series.dt
     T = dt * (len(series.values) - 1)
-    if cell > math.pi / T * (1.0 + 1e-9):
+    res = math.pi * series.hbar  # times 1/T: the window resolution in energy
+    if cell > res / T * (1.0 + 1e-9):
         raise DomainError(
-            f"grid spacing {cell:g} exceeds the window resolution pi/T = "
-            f"{math.pi / T:g}; lines could fall between samples"
+            f"grid spacing {cell:g} exceeds the window resolution hbar pi/T = "
+            f"{res / T:g}; lines could fall between samples"
         )
     # (1/2T) integral w(t) e^{iota t E} K_t dt, Hann window w, trapezoid
     n = len(series.values) - 1
@@ -221,14 +222,14 @@ def spectrum_scan(series, E_grid, swapped=None, floor=1e-4):
              and mag[i] >= mag[i - 1] and mag[i] > mag[i + 1]]
     # Greedy sidelobe rejection, strongest first: a candidate sitting within
     # the sidelobe envelope of an already-accepted line (|W| <= 1/(pi x |x^2-1|)
-    # at x energy cells of pi/T, with a 3x safety factor) is an artifact of
+    # at x energy cells of hbar pi/T, with a 3x safety factor) is an artifact of
     # the window, not a line.
     peaks.sort(key=lambda i: -mag[i])
     accepted = []
     for i in peaks:
         keep = True
         for j in accepted:
-            x = abs(E_grid[i] - E_grid[j]) * T / math.pi
+            x = abs(E_grid[i] - E_grid[j]) * T / res
             if x < 1.5:
                 keep = False
                 break
@@ -305,18 +306,14 @@ def resolvent_element(ham, z, zp, E, t_max=0.0, dt=1e-2):
 def resolvent_symmetry_residual(ham, z, zp, E, t_max=0.0, dt=1e-2):
     """|G(E)(z,z') - conj(G(conj E)(z',z))| via an independent reflected
     quadrature: the swapped element integrates the backward flow of z
-    against z', so no value is reused between the two routes."""
+    against z', so no value is reused between the two routes.  The backward
+    flow is the forward flow of -gen, and its quadrature at -conj(E) (in the
+    upper half-plane) is -conj(G(conj E)(z',z)); negation is exact."""
     g = resolvent_element(ham, z, zp, E, t_max, dt)
-    E = complex(E)
-    hbar = ham.hbar
-    if t_max <= 0:
-        t_max = _auto_t_max(E.imag, hbar, dt, "Im E")
-    pts = _flow_points(ham.gen, z, int(round(t_max / dt)), -dt, hbar)
-    kvals = klauder_kernel(zp, pts)
-    t = dt * np.arange(len(pts))
-    iota = 1j / hbar
-    b = iota * np.trapezoid(np.exp(-iota * np.conj(E) * t) * kvals, dx=dt)
-    return abs(g - np.conj(b))
+    gen = ham.gen
+    back = replace(ham, gen=OscGenerator(-gen.rho, -gen.p, -gen.q, -gen.X))
+    b, = _resolvent_quadrature(back, zp, z, -np.conj(complex(E)), t_max, dt, klauder_kernel)
+    return abs(g + np.conj(b))
 
 
 def _resolvent_at_root(ham, z, zp, root, eta, dt):

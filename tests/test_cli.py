@@ -188,6 +188,10 @@ def test_non_finite_values_exit_two(tmp_path, capsys, experiment, params, path):
     ("ccr-check", {"p": [1e300]}, r"ccr_product_residual_over_scale check is not finite"),
     ("dynamics", {"z0": [1e300, 1e300], "t_end": 0.2, "dt": 0.01},
      r"norm_drift_rel check is not finite"),
+    # nor may a data file hold one: without the norm check of a self-adjoint
+    # generator this run reported a failed check and wrote inf/nan rows
+    ("dynamics", {"z0": [1e300, 1e300], "gen": {"X": [[[1, -0.5]]]}, "t_end": 0.2,
+                  "dt": 0.01}, r"autocorr\.csv holds a value that is not finite"),
 ])
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_unrunnable_configs_exit_two(tmp_path, capsys, experiment, params, message):
@@ -196,6 +200,16 @@ def test_unrunnable_configs_exit_two(tmp_path, capsys, experiment, params, messa
     assert code == 2
     err = capsys.readouterr().err
     assert "config error" in err and re.search(message, err)
+    assert not (tmp_path / "out").exists()  # a rejected run writes nothing
+
+
+@pytest.mark.parametrize("out", ["file", "file/out"])
+def test_unwritable_output_path_exits_two(tmp_path, capsys, out):
+    (tmp_path / "file").write_text("")
+    cfg = _base(params={"samples": 1, "n_points": 4})
+    assert main(["run", _write_config(tmp_path, cfg), "--out", str(tmp_path / out)]) == 2
+    assert "config error: output.path" in capsys.readouterr().err
+    assert (tmp_path / "file").read_text() == ""
 
 
 def test_python_dash_m_exit_codes(tmp_path):
@@ -258,11 +272,14 @@ def test_csv_float_rows_match_the_per_value_format(tmp_path):
             [-1, -0, np.int64(-5)], [np.int64(3), 3, np.float64(-0.0)],
             [np.float64(math.nan), 1e17, np.float64(-1e-300)],
             [np.int32(4), np.float32(0.1), 2], [0, 1.0, np.int64(2)], [0, 1.0, np.int64(2)]]
-    files = []
-    _write_csv(str(tmp_path), "x.csv", ["a", "b", "c"], rows, files)
+    _write_csv(str(tmp_path), "x.csv", ["a", "b", "c"], rows)
     want = "a,b,c\n" + "".join(",".join(_fmt(v) for v in r) + "\n" for r in rows)
     assert (tmp_path / "x.csv").read_text() == want
-    assert files == ["x.csv"]
+    # an array is converted in blocks of rows; 1300 rows span three of them
+    table = np.random.default_rng(0).standard_normal((1300, 3)) * 10.0 ** np.arange(-2, 1)
+    _write_csv(str(tmp_path), "y.csv", ["a", "b", "c"], table)
+    want = "a,b,c\n" + "".join(",".join(_fmt(v) for v in r) + "\n" for r in table)
+    assert (tmp_path / "y.csv").read_text() == want
 
 
 def test_list_exits_zero_and_names_all_experiments(capsys):

@@ -6,8 +6,9 @@ structural ones (points, generators, labels, vectors) take those numbers
 as their entries.  Whatever comes out, ``main(["run", ...])`` returns 0
 (checks passed), 1 (a check failed) or 2 (config rejected) and never
 raises: a traceback must not pass for a failed check.  A run that returns
-0 or 1 leaves a report.json that a strict JSON parser accepts, so no check
-value is NaN or infinite.
+2 leaves no output directory.  A run that returns 0 or 1 leaves exactly the
+report's data files and a report.json that a strict JSON parser accepts, so
+no check value and no CSV number is NaN or infinite.
 
 One test tries every value class of every parameter on its own; a
 hypothesis test combines up to three of them, on every catalog space.
@@ -17,6 +18,8 @@ import contextlib
 import io
 import json
 import math
+import os
+import shutil
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -93,16 +96,34 @@ def _reject_constant(name):
     raise ValueError(f"report.json holds {name}, which is not JSON")
 
 
+def _finite_csv(path):
+    """Whether every number in a CSV file is finite; text cells are skipped."""
+    for line in path.read_text().splitlines()[1:]:
+        for cell in line.split(","):
+            try:
+                x = float(cell)
+            except ValueError:
+                continue
+            if not math.isfinite(x):
+                return False
+    return True
+
+
 def _exit_code(tmp_path, space, experiment, params):
     path = tmp_path / "config.json"
     path.write_text(json.dumps({"space": space, "experiment": experiment,
                                 "params": params}))
-    report = tmp_path / "out" / "report.json"
-    report.unlink(missing_ok=True)
+    out = tmp_path / "out"
+    shutil.rmtree(out, ignore_errors=True)
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-        code = main(["run", str(path), "--out", str(tmp_path / "out")])
-    if code in (0, 1):
-        json.loads(report.read_text(), parse_constant=_reject_constant)
+        code = main(["run", str(path), "--out", str(out)])
+    if code == 2:
+        assert not out.exists(), (experiment, params)
+    elif code in (0, 1):
+        report = json.loads((out / "report.json").read_text(), parse_constant=_reject_constant)
+        files = report["data_files"]
+        assert sorted(os.listdir(out)) == sorted(files + ["report.json"])
+        assert all(_finite_csv(out / name) for name in files), (experiment, params)
     return code
 
 

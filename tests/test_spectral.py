@@ -13,7 +13,7 @@ from scipy.linalg import expm
 
 from cohk.core import DomainError
 from cohk.catalog import make_space
-from cohk.dynamics import HamiltonianSpec, flow_exact, propagate_ode
+from cohk.dynamics import HamiltonianSpec, autocorrelation, flow_exact, propagate_ode
 from cohk.fock import (
     OscGenerator,
     dgamma_element,
@@ -117,6 +117,30 @@ def test_scan_finds_lines_and_weights(harmonic_series):
     for n, line in enumerate(lines):
         assert line.energy == pytest.approx(float(n), abs=0.004)
         assert line.weight == pytest.approx(_w(n), abs=1e-3)
+
+
+def _hbar_two_lines(series):
+    """Lines of the number operator's series on a grid finer than hbar pi/T
+    only at hbar = 2; at both hbar the lines sit at N in energy."""
+    lines = spectrum_scan(series, np.arange(-0.5, 6.505, 0.01))
+    assert [round(line.energy, 3) for line in lines] == list(range(7))
+    assert sum(line.weight for line in lines) == pytest.approx(
+        klauder_kernel(Z0, Z0).real, abs=1e-3)
+
+
+def test_scan_at_hbar_two_resolves_hbar_pi_over_t():
+    # the sidelobe test measures distances in cells of hbar pi/T; in cells
+    # of pi/T it kept ~90 window sidelobes as lines
+    _hbar_two_lines(oscillator_series(_number_op(), Z0, Z0, 100.0 * math.pi, 0.05, hbar=2.0))
+
+
+def test_autocorrelation_keeps_the_trajectory_hbar():
+    space = make_space({"kind": "klauder", "dim": 1})
+    traj = propagate_ode(space, HamiltonianSpec(gen=_number_op(), hbar=2.0), Z0,
+                         100.0 * math.pi, 0.05)
+    series = autocorrelation(space, Z0, traj)
+    assert series.hbar == 2.0
+    _hbar_two_lines(series)
 
 
 def test_scan_rejects_coarse_grids(harmonic_series):
