@@ -32,18 +32,23 @@ step 1e-5 * max(1, |z|); the mixed second difference steps
 The geometry (theta, metric, two-form, WTG jets and geometry reports)
 takes one case or a stack of them and uses the closed forms where the
 space has them, the FD oracle on the other cases.
+
+One registry maps each kind to its class, its descriptor keys with their
+defaults, and its presets; ``make_space``, the only reader of a space
+descriptor, ``space_names`` and ``default_spaces`` read it.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
 
-from .core import AxiomViolationError, CoherentSpace, DomainError
+from .core import MAX_SIZE, AxiomViolationError, CoherentSpace, DomainError
 from .fock import _klauder_exponent
 
 __all__ = [
@@ -114,7 +119,18 @@ class _CatalogSpace(CoherentSpace):
 
 
 class _VectorSpace(_CatalogSpace):
+    """Labels are vectors of ``_lead_coords + dim`` coordinates."""
+
     _label_form = "a complex vector"
+    _lead_coords = 0
+
+    def __init__(self, dim):
+        count = isinstance(dim, (int, np.integer)) and not isinstance(dim, bool)
+        if not (count and 1 <= dim <= MAX_SIZE):
+            raise DomainError(f"dim: expected a count from 1 to {MAX_SIZE}")
+        self.dim = int(dim)
+        self.coord_len = self.dim + self._lead_coords
+        self.space_id = f"{self._kind}({self.dim})"
 
     def validate(self, z):
         try:
@@ -135,15 +151,9 @@ class _VectorSpace(_CatalogSpace):
 class EuclideanSpace(_VectorSpace):
     """R^n with the bilinear kernel K(z, z') = z^T z' (no conjugation)."""
 
+    _kind = "euclidean"
     complex_chart = False
     _label_form = "a real vector"
-
-    def __init__(self, dim):
-        if dim < 1:
-            raise DomainError("euclidean dimension must be >= 1")
-        self.dim = dim
-        self.coord_len = dim
-        self.space_id = f"euclidean({dim})"
 
     def kernel(self, z, zp):
         return np.vecdot(z, zp, dtype=complex)
@@ -165,12 +175,7 @@ class EuclideanSpace(_VectorSpace):
 class HermitianSpace(_VectorSpace):
     """C^n with the sesquilinear kernel K(z, z') = z* z'."""
 
-    def __init__(self, dim):
-        if dim < 1:
-            raise DomainError("hermitian dimension must be >= 1")
-        self.dim = dim
-        self.coord_len = dim
-        self.space_id = f"hermitian({dim})"
+    _kind = "hermitian"
 
     def kernel(self, z, zp):
         return np.vecdot(z, zp)
@@ -200,11 +205,8 @@ class UnitSphereSpace(HermitianSpace):
     Re(z* X) = 0.
     """
 
+    _kind = "sphere"
     _outside_msg = "point is not on the unit sphere"
-
-    def __init__(self, dim):
-        super().__init__(dim)
-        self.space_id = f"sphere({dim})"
 
     def _outside(self, Z):
         return np.abs(np.vecdot(Z, Z).real - 1.0) > 1e-12
@@ -229,14 +231,9 @@ class KlauderSpace(_VectorSpace):
     span of its coherent states is the bosonic Fock space over C^n.
     """
 
+    _kind = "klauder"
+    _lead_coords = 1  # z0
     _label_form = "[z0, zhat] as a complex vector"
-
-    def __init__(self, dim):
-        if dim < 1:
-            raise DomainError("klauder mode count must be >= 1")
-        self.dim = dim
-        self.coord_len = dim + 1
-        self.space_id = f"klauder({dim})"
 
     def kernel(self, z, zp):
         return np.exp(_klauder_exponent(z, zp))
@@ -313,10 +310,8 @@ class ReciprocalSpace(_ScalarSpace):
 
     complex_chart = False
     _label_form = "a real number"
+    space_id = "reciprocal"
     _nonfinite_msg = _outside_msg = "reciprocal points are strictly positive reals"
-
-    def __init__(self):
-        self.space_id = "reciprocal"
 
     def kernel(self, z, zp):
         return 1.0 / (z + zp) + 0j
@@ -340,10 +335,8 @@ class ReciprocalSpace(_ScalarSpace):
 class SzegoSpace(_ScalarSpace):
     """Open unit disk with the Szego kernel K(z, z') = 1 / (1 - conj(z) z')."""
 
+    space_id = "szego"
     _outside_msg = "szego points lie in the open unit disk"
-
-    def __init__(self):
-        self.space_id = "szego"
 
     def kernel(self, z, zp):
         u, w = _lift(z, zp)
@@ -524,80 +517,81 @@ class DeBrangesSpace(_ScalarSpace):
 # construction
 
 
-_SCHUR_PRESETS = {
-    "square": (lambda z: z * z, lambda z: 2.0 * z),
-    "mobius": (
-        lambda z: (2.0 * z + 1.0) / (z + 2.0),
-        lambda z: 3.0 / (z + 2.0) ** 2,
-    ),
-}
+# A registry entry: the class, the descriptor keys it takes with their
+# defaults, and for a space built from callables, their keys and the named
+# presets that stand for them.
+_Kind = namedtuple("_Kind", "cls defaults funcs presets", defaults=((), None))
 
-_DEBRANGES_PRESETS = {
-    "exp": (lambda z: np.exp(-1j * z), lambda z: -1j * np.exp(-1j * z)),
-    "damped-linear": (
-        lambda z: (z + 1j) * np.exp(-1j * z),
-        lambda z: (2.0 - 1j * z) * np.exp(-1j * z),
-    ),
+
+_REGISTRY = {
+    "euclidean": _Kind(EuclideanSpace, {"dim": 2}),
+    "hermitian": _Kind(HermitianSpace, {"dim": 2}),
+    "sphere": _Kind(UnitSphereSpace, {"dim": 2}),
+    "klauder": _Kind(KlauderSpace, {"dim": 1}),
+    "reciprocal": _Kind(ReciprocalSpace, {}),
+    "szego": _Kind(SzegoSpace, {}),
+    "schur": _Kind(SchurSpace, {"preset": "mobius"}, ("s", "s_prime"), {
+        "square": (lambda z: z * z, lambda z: 2.0 * z),
+        "mobius": (
+            lambda z: (2.0 * z + 1.0) / (z + 2.0),
+            lambda z: 3.0 / (z + 2.0) ** 2,
+        ),
+    }),
+    "debranges": _Kind(DeBrangesSpace, {"preset": "exp"}, ("E", "E_prime"), {
+        "exp": (lambda z: np.exp(-1j * z), lambda z: -1j * np.exp(-1j * z)),
+        "damped-linear": (
+            lambda z: (z + 1j) * np.exp(-1j * z),
+            lambda z: (2.0 - 1j * z) * np.exp(-1j * z),
+        ),
+    }),
 }
 
 
 def space_names():
-    return ["euclidean", "hermitian", "sphere", "klauder", "reciprocal",
-            "szego", "schur", "debranges"]
+    return list(_REGISTRY)
 
 
 def make_space(kind, **params):
     """Build a catalog space from a JSON-friendly descriptor.
 
     ``kind`` may also be a dict {"kind": ..., ...} as used by the CLI
-    config format.  Vector spaces take ``dim``; schur/debranges take either
-    a ``preset`` name or explicit callables (``s``/``s_prime``,
-    ``E``/``E_prime``).
+    config format, given without keyword parameters.  Vector spaces take
+    ``dim``; schur/debranges take either a ``preset`` name or both
+    callables (``s``/``s_prime``, ``E``/``E_prime``).  Omitted keys take
+    the registry's defaults.  A malformed descriptor raises
+    :class:`DomainError` whose message starts with the offending key.
     """
     if isinstance(kind, dict):
-        params = {k: v for k, v in kind.items() if k != "kind"}
-        kind = kind.get("kind")
-    if kind == "euclidean":
-        return EuclideanSpace(int(params.get("dim", 2)))
-    if kind == "hermitian":
-        return HermitianSpace(int(params.get("dim", 2)))
-    if kind == "sphere":
-        return UnitSphereSpace(int(params.get("dim", 2)))
-    if kind == "klauder":
-        return KlauderSpace(int(params.get("dim", 1)))
-    if kind == "reciprocal":
-        return ReciprocalSpace()
-    if kind == "szego":
-        return SzegoSpace()
-    if kind == "schur":
-        if "s" in params:
-            return SchurSpace(params["s"], params["s_prime"])
-        preset = params.get("preset", "mobius")
-        if preset not in _SCHUR_PRESETS:
-            raise DomainError(f"unknown schur preset {preset!r}")
-        return SchurSpace(*_SCHUR_PRESETS[preset], preset=preset)
-    if kind == "debranges":
-        if "E" in params:
-            return DeBrangesSpace(params["E"], params["E_prime"])
-        preset = params.get("preset", "exp")
-        if preset not in _DEBRANGES_PRESETS:
-            raise DomainError(f"unknown debranges preset {preset!r}")
-        return DeBrangesSpace(*_DEBRANGES_PRESETS[preset], preset=preset)
-    raise DomainError(f"unknown space kind {kind!r}")
+        if params:
+            raise DomainError(f"{next(iter(params))}: not taken next to a descriptor dict")
+        params = dict(kind)
+        kind = params.pop("kind", None)
+    entry = _REGISTRY.get(kind) if isinstance(kind, str) else None
+    if entry is None:
+        raise DomainError(f"kind: unknown space kind {kind!r} (one of: {', '.join(_REGISTRY)})")
+    for key in params:
+        if key not in entry.defaults and key not in entry.funcs:
+            raise DomainError(f"{key}: unknown key for a {kind} space")
+    if any(f in params for f in entry.funcs):
+        if "preset" in params:
+            raise DomainError(f"preset: not taken next to {' and '.join(entry.funcs)}")
+        for f in entry.funcs:
+            if not callable(params.get(f)):
+                raise DomainError(f"{f}: expected a callable, given with {'/'.join(entry.funcs)}")
+        return entry.cls(*(params[f] for f in entry.funcs))
+    args = {**entry.defaults, **params}
+    if entry.presets is None:
+        return entry.cls(**args)
+    preset = args["preset"]
+    if not isinstance(preset, str) or preset not in entry.presets:
+        raise DomainError(f"preset: unknown {kind} preset {preset!r}"
+                          f" (one of: {', '.join(entry.presets)})")
+    return entry.cls(*entry.presets[preset], preset=preset)
 
 
 def default_spaces():
     """One representative instance of each of the eight catalog spaces."""
-    return [
-        make_space("euclidean", dim=2),
-        make_space("hermitian", dim=2),
-        make_space("sphere", dim=2),
-        make_space("klauder", dim=1),
-        make_space("reciprocal"),
-        make_space("szego"),
-        make_space("schur", preset="mobius"),
-        make_space("debranges", preset="exp"),
-    ]
+    return [make_space(kind) for kind in _REGISTRY]
 
 
 # ---------------------------------------------------------------------------

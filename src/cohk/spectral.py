@@ -29,7 +29,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .core import MAX_SIZE, DomainError
-from .dynamics import AutocorrSeries, flow_exact
+from .dynamics import AutocorrSeries, autocorrelation, flow_exact
 from .fock import OscGenerator, dgamma_element, klauder_kernel
 
 __all__ = [
@@ -135,16 +135,16 @@ def time_average_overlap(series, E, T, swapped=None):
     return complex(np.trapezoid(integrand, dx=dt) / (2.0 * T))
 
 
-def eigencomponent_overlap(space, zp, traj, E, T, hbar=1.0):
-    """One-sided time average of e^{iota t E} K(z', psi(t)) over [0, T]."""
-    dt = float(traj.times[1] - traj.times[0])
-    n = int(round(T / dt))
-    if n > len(traj.points) - 1 or n < 1:
+def eigencomponent_overlap(space, zp, traj, E, T):
+    """One-sided time average of e^{iota t E} K(z', psi(t)) over [0, T], at
+    the hbar the trajectory's integrator recorded."""
+    series = autocorrelation(space, zp, traj)
+    n = int(round(T / series.dt)) if series.dt > 0 else 0
+    if n > len(series.values) - 1 or n < 1:
         raise DomainError("trajectory does not cover [0, T]")
-    vals = space.kernel(zp, np.asarray(traj.points[: n + 1]))
-    t = dt * np.arange(n + 1)
-    integrand = np.exp((1j / hbar) * E * t) * vals
-    return complex(np.trapezoid(integrand, dx=dt) / T)
+    t = series.dt * np.arange(n + 1)
+    integrand = np.exp((1j / series.hbar) * E * t) * series.values[: n + 1]
+    return complex(np.trapezoid(integrand, dx=series.dt) / T)
 
 
 # ---------------------------------------------------------------------------

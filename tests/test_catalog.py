@@ -1,16 +1,23 @@
 """Catalog spaces: kernels, closed-form geometry vs the FD oracle."""
 
+import importlib.util
 import math
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from cohk.core import DomainError, gram, psd_check
+from cohk.core import MAX_SIZE, DomainError, gram, psd_check
 from cohk.catalog import (
     DeBrangesSpace,
+    EuclideanSpace,
+    HermitianSpace,
+    KlauderSpace,
     SchurSpace,
+    UnitSphereSpace,
     commutation_check,
+    default_spaces,
     fd_L,
     fd_LR,
     fd_R,
@@ -40,6 +47,73 @@ def test_make_space_from_descriptor_dict():
 def test_make_space_unknown_kind():
     with pytest.raises(DomainError):
         make_space("banach")
+
+
+def _f(z):
+    return 0.5 * z
+
+
+# each malformed descriptor, and the key its message starts with
+_BAD_DESCRIPTORS = [
+    (("banach",), {}, "kind"),
+    ((["klauder"],), {}, "kind"),
+    ((None,), {}, "kind"),
+    (({"dim": 2},), {}, "kind"),
+    (({"kind": 3},), {}, "kind"),
+    (("klauder",), {"dimm": 3}, "dimm"),
+    (("szego",), {"dim": 1}, "dim"),
+    (("schur",), {"E": _f}, "E"),
+    (("euclidean",), {"dim": 2.9}, "dim"),
+    (("euclidean",), {"dim": "3"}, "dim"),
+    (("euclidean",), {"dim": True}, "dim"),
+    (("euclidean",), {"dim": np.float64(2.0)}, "dim"),
+    (("hermitian",), {"dim": 0}, "dim"),
+    (("sphere",), {"dim": -1}, "dim"),
+    (("klauder",), {"dim": MAX_SIZE + 1}, "dim"),
+    (("klauder",), {"dim": 10 ** 400}, "dim"),
+    (("schur",), {"preset": "x"}, "preset"),
+    (("debranges",), {"preset": 1}, "preset"),
+    (("debranges",), {"preset": None}, "preset"),
+    (("schur",), {"s": _f}, "s_prime"),
+    (("schur",), {"s_prime": _f}, "s"),
+    (("schur",), {"s": 1, "s_prime": _f}, "s"),
+    (("debranges",), {"E": _f, "E_prime": 0}, "E_prime"),
+    (("schur",), {"s": _f, "s_prime": _f, "preset": "mobius"}, "preset"),
+    (({"kind": "klauder"},), {"dim": 2}, "dim"),
+    (({"kind": "schur", "preset": "square"},), {"preset": "mobius"}, "preset"),
+]
+
+
+@pytest.mark.parametrize("args, params, key", _BAD_DESCRIPTORS)
+def test_make_space_names_the_malformed_key(args, params, key):
+    with pytest.raises(DomainError, match=rf"^{key}: "):
+        make_space(*args, **params)
+
+
+@pytest.mark.parametrize("cls", [EuclideanSpace, HermitianSpace, UnitSphereSpace, KlauderSpace])
+@pytest.mark.parametrize("dim", [2.5, 0, -1, True, "2", MAX_SIZE + 1])
+def test_direct_construction_checks_dim(cls, dim):
+    with pytest.raises(DomainError, match=r"^dim: "):
+        cls(dim)
+
+
+def test_descriptor_defaults_and_callables():
+    assert make_space("klauder", dim=np.int64(2)).space_id == "klauder(2)"
+    assert make_space({"kind": "sphere"}).space_id == "sphere(2)"
+    assert KlauderSpace(3).coord_len == 4 and EuclideanSpace(3).coord_len == 3
+    schur = make_space("schur", s=_f, s_prime=lambda z: 0.5 + 0.0 * z)
+    assert schur.space_id == "schur" and schur.s is _f
+
+
+def test_benchmark_spaces_match_the_default_spaces():
+    # perfbench/workloads.py says its SPACES match default_spaces(); hold it to that
+    assert [s.space_id.split("(")[0] for s in default_spaces()] == space_names()
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("_perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    assert ([make_space(d).space_id for d in workloads.SPACES]
+            == [s.space_id for s in default_spaces()])
 
 
 def test_klauder_kernel_formula(rng):

@@ -203,6 +203,31 @@ def test_unrunnable_configs_exit_two(tmp_path, capsys, experiment, params, messa
     assert not (tmp_path / "out").exists()  # a rejected run writes nothing
 
 
+@pytest.mark.parametrize("experiment", ["weyl-check", "gram-psd"])
+@pytest.mark.parametrize("space, message", [
+    ({"kind": ["klauder"]}, "kind: unknown space kind"),
+    ({"kind": {"kind": "klauder"}}, "kind: unknown space kind"),
+    ({"kind": 1}, "kind: unknown space kind"),
+    ({"kind": "klauder", "dim": 0}, "dim: expected a count"),
+    ({"kind": "klauder", "dim": -1}, "dim: expected a count"),
+    ({"kind": "klauder", "dim": 1.5}, "dim: expected a count"),
+    ({"kind": "klauder", "dim": True}, "dim: expected a count"),
+    ({"kind": "klauder", "dim": "2"}, "dim: expected a count"),
+    ({"kind": "klauder", "dim": 10 ** 400}, "dim: expected a count"),
+    ({"kind": "klauder", "dim": 10 ** 12}, "dim: expected a count"),
+    ({"kind": "euclidean", "dim": 10 ** 400}, "dim: expected a count"),
+    ({"kind": "klauder", "modes": 1}, "modes: unknown key"),
+    ({"kind": "schur", "preset": 1}, "preset: unknown schur preset"),
+    ({"kind": "schur", "s": 1}, "s: expected a callable"),
+])
+def test_malformed_space_exits_two_naming_the_key(tmp_path, capsys, experiment, space, message):
+    cfg = _base(experiment, params={"samples": 1}, space=space)
+    code = main(["run", _write_config(tmp_path, cfg), "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert capsys.readouterr().err.startswith(f"config error: space.{message}")
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("out", ["file", "file/out"])
 def test_unwritable_output_path_exits_two(tmp_path, capsys, out):
     (tmp_path / "file").write_text("")

@@ -364,6 +364,18 @@ def test_eigencomponent_overlap_from_trajectory():
     assert flat == pytest.approx(_w(0), abs=5e-3)
 
 
+def test_eigencomponent_overlap_reads_the_trajectory_hbar():
+    # at hbar = 2, E = 1 is level 1; read at hbar = 1 it would be level 2
+    space = make_space("klauder")
+    ham = HamiltonianSpec(gen=_number_op(), hbar=2.0)
+    T = 100.0 * math.pi
+    traj = propagate_ode(space, ham, Z0, T, math.pi / 40.0)
+    assert traj.meta["hbar"] == 2.0
+    got = eigencomponent_overlap(space, Z0, traj, 1.0, T)
+    assert got == pytest.approx(_w(1), abs=5e-3)
+    assert abs(got - _w(2)) > 0.1
+
+
 # ---- array routines against the step loop and the dense Fourier sum ----
 #
 # The oracles below are the per-step loop and the dense exp(outer(E, t))
