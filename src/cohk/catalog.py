@@ -119,17 +119,17 @@ class _CatalogSpace(CoherentSpace):
 
 
 class _VectorSpace(_CatalogSpace):
-    """Labels are vectors of ``_lead_coords + dim`` coordinates."""
+    """Labels are vectors of ``_lead_len + dim`` coordinates."""
 
     _label_form = "a complex vector"
-    _lead_coords = 0
+    _lead_len = 0
 
     def __init__(self, dim):
         count = isinstance(dim, (int, np.integer)) and not isinstance(dim, bool)
         if not (count and 1 <= dim <= MAX_SIZE):
             raise DomainError(f"dim: expected a count from 1 to {MAX_SIZE}")
         self.dim = int(dim)
-        self.coord_len = self.dim + self._lead_coords
+        self.coord_len = self.dim + self._lead_len
         self.space_id = f"{self._kind}({self.dim})"
 
     def validate(self, z):
@@ -232,7 +232,7 @@ class KlauderSpace(_VectorSpace):
     """
 
     _kind = "klauder"
-    _lead_coords = 1  # z0
+    _lead_len = 1  # z0
     _label_form = "[z0, zhat] as a complex vector"
 
     def kernel(self, z, zp):
@@ -387,7 +387,7 @@ class SchurSpace(_ScalarSpace):
         u, w = _lift(z, zp)
         return _drop((1.0 - np.conj(self.s(u)) * self.s(w)) / (1.0 - np.conj(u) * w))
 
-    _outside_msg = SzegoSpace._outside_msg
+    _outside_msg = "schur points lie in the open unit disk"
     _outside = SzegoSpace._outside
     sample_points = SzegoSpace.sample_points
 

@@ -556,8 +556,8 @@ def _run_dynamics(ctx):
     adj = gen.adjoint()
     self_adjoint = (
         abs(gen.rho - adj.rho) <= 1e-12
-        and np.allclose(gen.p, adj.p, atol=1e-12)
-        and np.allclose(gen.X, adj.X, atol=1e-12)
+        and np.allclose(gen.p, adj.p, rtol=0.0, atol=1e-12)
+        and np.allclose(gen.X, adj.X, rtol=0.0, atol=1e-12)
     )
     if self_adjoint:
         norms = ctx.space.kernel(traj.points, traj.points).real
@@ -581,7 +581,7 @@ def _run_spectrum(ctx):
     if eta <= 0:
         raise ConfigError("params.eta: must be positive")
     grid = np.arange(e_min, e_max + e_step * 0.5, e_step)
-    same_label = np.allclose(z, zp)
+    same_label = np.array_equal(z, zp)
     series = oscillator_series(gen, z, zp, t_max, dt)
     swapped = None if same_label else oscillator_series(gen, zp, z, t_max, dt)
     lines = spectrum_scan(series, grid, swapped=swapped, floor=p["floor"])

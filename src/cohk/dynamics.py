@@ -4,6 +4,8 @@ Oscillator generators integrate exactly in flow_exact, the package's one
 exact flow: one block exponential per time, broadcast over the labels.  Label
 fields integrate with fixed-step RK4 (propagate_ode), whose oscillator stages
 are each one product of the homogeneous label [z, 1] with the block generator.
+Every integrator, field, gradient and bracket works on labels in the form
+``space.validate`` returns: a coordinate vector, or a number on scalar charts.
 
 Classical Hamiltonians follow the Euler-Lagrange equation of the coherent
 action in the complex chart.  With M(X, Y) = L_X R_Y K(z, z) = X* Hm Y for
@@ -85,15 +87,17 @@ class AutocorrSeries:
 
 @dataclass
 class HamiltonianSpec:
-    """One of: an oscillator generator, a label field F(t, z) with
-    i hbar z' = F, or a classical scalar H(z).
+    """One of: an oscillator generator, a velocity field F(t, z) with
+    z' = F, or a classical scalar H(z).
 
-    F gets one label per call, in the space's own form (a complex or real
-    scalar on scalar charts).  So does H, unless ``stacked`` declares that
-    it broadcasts over labels stacked along leading axes, as
-    ``CoherentSpace.kernel`` does, returning one value per label; the
-    integrators then call it once on a whole gradient stencil or
-    trajectory.
+    F gets one label per call, in the form ``space.validate`` returns (a
+    number on scalar charts), and returns the velocity in that same form;
+    on a real chart a complex velocity gives a complex label, which
+    ``validate`` rejects, so the run aborts.  H gets one label per call
+    too, unless ``stacked`` declares that it broadcasts over labels stacked
+    along leading axes, as ``CoherentSpace.kernel`` does, returning one
+    value per label; the integrators then call it once on a whole gradient
+    stencil or trajectory.
     """
 
     gen: object = None
@@ -181,32 +185,21 @@ def oscillator_field(gen, hbar=1.0):
 
 
 # ---------------------------------------------------------------------------
-# chart utilities (realification of points and tangents)
+# chart utilities (realification of tangents, H on stacked labels)
 
 
-def _coords(z):
-    """The label as a complex coordinate array, and whether it was a scalar."""
-    return np.atleast_1d(np.asarray(z, dtype=complex)), np.ndim(z) == 0
-
-
-def _from_coords(space, arr, scalar):
-    if scalar:
-        c = complex(arr[0])
-        return c.real if not space.complex_chart else c
-    if space.complex_chart:
-        return np.asarray(arr, dtype=complex)
-    return np.asarray(arr).real.copy()
-
-
-def _stacked_values(H, Z, shape):
-    """Values of the stacked H on the labels Z, which stack along ``shape``.
-    A result of any other shape raises TypeError: numpy would broadcast it
-    into wrong values, and a malformed spec is not a label leaving the
-    domain, so ``propagate_ode`` does not turn it into an aborted run."""
+def _values(H, Z, stacked):
+    """Values of H on the labels Z, stacked along the first axis: one call
+    if ``stacked``, else one call per label.  A stacked result of any other
+    shape raises TypeError: numpy would broadcast it into wrong values, and
+    a malformed spec is not a label leaving the domain, so ``propagate_ode``
+    does not turn it into an aborted run."""
+    if not stacked:
+        return np.array([complex(H(z)) for z in Z])
     vals = np.asarray(H(Z), dtype=complex)
-    if vals.shape != shape:
+    if vals.shape != Z.shape[:1]:
         raise TypeError(f"stacked H returned shape {vals.shape} for labels "
-                        f"stacked as {shape}")
+                        f"stacked as {Z.shape[:1]}")
     return vals
 
 
@@ -223,10 +216,10 @@ def _realifier(m):
 
 
 def _real_basis(space):
-    """Chart tangents of the real unit vectors, one per row."""
-    if space.complex_chart:
-        return _realifier(space.coord_len)[0].T
-    return np.eye(space.coord_len)
+    """The real unit displacements in label form, one per row: a stack of
+    numbers ([1, 1j] on the complex ones) on scalar charts."""
+    E = _realifier(space.coord_len)[0].T if space.complex_chart else np.eye(space.coord_len)
+    return E[:, 0] if space.scalar_chart else E
 
 
 # ---------------------------------------------------------------------------
@@ -244,10 +237,10 @@ def _rk4_step(f, t, y, dt):
 def propagate_ode(space, ham, z0, t_end, dt):
     """Fixed-step RK4 on the label field of ``ham``.
 
-    The loop runs on one chart-coordinate array; labels in the space's own
-    form are made only for ``F``, ``H`` and the per-step ``validate``.
-    Oscillator specs step homogeneous labels [z, 1], so each stage is one
-    product with the transposed block generator -(i/hbar) gen_block(gen).
+    The loop steps the label as ``space.validate`` returns it, and
+    validates each step.  Oscillator specs step the homogeneous label
+    [z, 1], so each stage is one product with the transposed block
+    generator -(i/hbar) gen_block(gen).  ``F`` specs step z' = F(t, z).
     Classical specs use the Euler-Lagrange field (see el_integrate).  If a
     step leaves the space's domain the trajectory is returned truncated at
     the last valid point, with meta["aborted"] set; meta["hbar"] records
@@ -262,22 +255,18 @@ def propagate_ode(space, ham, z0, t_end, dt):
         raise DomainError(f"{steps:.3g} steps for t_end={t_end:g}, dt={dt:g}; "
                           f"the most allowed is {MAX_SIZE}")
     n_steps = int(round(steps))
-    z0 = space.validate(z0)
-    y, scalar = _coords(z0)
-    m = len(y)  # label slots of y
+    y = z0 = space.validate(z0)
     if ham.gen is not None:
         Mt = (-(1j / ham.hbar) * gen_block(ham.gen)).T
-        y = np.append(y, 1.0)
+        y = np.append(z0, 1.0)
 
         def f(t, y):
             return y @ Mt
     elif ham.F is not None:
-        def f(t, y):
-            return np.atleast_1d(np.asarray(ham.F(t, _from_coords(space, y, scalar)),
-                                            dtype=complex))
+        f = ham.F
     else:
         def f(t, y):
-            return _el_velocity(space, ham.H, y, scalar, ham.hbar, stacked=ham.stacked)
+            return _el_velocity(space, ham.H, y, ham.hbar, stacked=ham.stacked)
 
     # np.empty commits memory only for the rows a run reaches
     points = np.empty((n_steps + 1,) + np.shape(z0), dtype=np.asarray(z0).dtype)
@@ -286,7 +275,7 @@ def propagate_ode(space, ham, z0, t_end, dt):
     for i in range(n_steps):
         try:
             y = _rk4_step(f, i * dt, y, dt)
-            points[i + 1] = space.validate(_from_coords(space, y[:m], scalar))
+            points[i + 1] = space.validate(y if ham.gen is None else y[:-1])
         except DomainError as err:
             meta["aborted"] = True
             meta["reason"] = str(err)
@@ -356,44 +345,38 @@ def _form_eigh(space, z):
 def symplectic_matrix(space, z):
     """Real antisymmetric matrix of the coherent 2-form in realified
     coordinates; raises DegenerateFormError when numerically singular."""
-    H = _form_eigh(space, z)[0]
+    H = _form_eigh(space, space.validate(z))[0]
     D, Dh = _realifier(space.coord_len)
     return 2.0 * np.imag(Dh @ H @ D)
 
 
-def _grad(space, f, arr, scalar, h=None, stacked=False):
-    """Central-difference gradient of f in realified coordinates, at chart
-    coordinates arr: the 2 * 2m stencil labels are built as one array, and
-    f is called once on it if ``stacked``, else once per label."""
+def _grad(space, f, z, h=None, stacked=False):
+    """Central-difference gradient of f in realified coordinates at the
+    label z: the stencil is one stack of labels, evaluated by ``_values``."""
     if h is None:
-        h = 1e-6 * max(1.0, float(np.linalg.norm(arr)))
+        h = 1e-6 * max(1.0, float(np.linalg.norm(z)))
     steps = h * _real_basis(space)
-    stencil = np.concatenate([arr + steps, arr - steps])
-    if stacked:  # only the EL field passes it, and only on complex charts
-        vals = _stacked_values(f, stencil[:, 0] if scalar else stencil, stencil.shape[:1])
-    else:
-        vals = np.array([complex(f(_from_coords(space, y, scalar))) for y in stencil])
+    vals = _values(f, np.concatenate([z + steps, z - steps]), stacked)
     n = len(steps)
     return (vals[:n] - vals[n:]) / (2.0 * h)
 
 
-def _el_velocity(space, H, y, scalar, hbar, h=None, stacked=False):
-    """Chart velocity of the Euler-Lagrange field at chart coordinates y:
+def _el_velocity(space, H, z, hbar, h=None, stacked=False):
+    """Velocity of the Euler-Lagrange field at the label z, in label form:
     z' = -(i/hbar) Hm^{-1} g with g = (w[0::2] + i w[1::2]) / 2, solved as
     (Hm + Hm*)^{-1} (2 g) from one eigendecomposition that also decides
     degeneracy (see the module docstring)."""
-    _, lam, V = _form_eigh(space, _from_coords(space, y, scalar))
-    w = _grad(space, H, y, scalar, h, stacked)
+    _, lam, V = _form_eigh(space, z)
+    w = _grad(space, H, z, h, stacked)
     g2 = w[0::2] + 1j * w[1::2]
-    return (-1j / hbar) * (V @ ((V.conj().T @ g2) / lam))
+    v = (-1j / hbar) * (V @ ((V.conj().T @ g2) / lam))
+    return complex(v[0]) if space.scalar_chart else v
 
 
 def hamiltonian_vector_field(space, H, z, hbar=1.0, grad_h=None):
     """Euler-Lagrange field z' = -(i/hbar) Hm^{-1} dH/dconj(z) at z, as a
-    chart tangent vector."""
-    arr, scalar = _coords(z)
-    v = _el_velocity(space, H, arr, scalar, hbar, grad_h)
-    return complex(v[0]) if scalar else v
+    tangent in label form."""
+    return _el_velocity(space, H, space.validate(z), hbar, grad_h)
 
 
 def poisson_bracket(space, f, g, z, hbar=1.0, grad_h=None):
@@ -403,10 +386,10 @@ def poisson_bracket(space, f, g, z, hbar=1.0, grad_h=None):
     (df . A^{-1} dg - dg . A^{-1} df) / 2, so that swapping f and g
     negates the result exactly, not just up to solver rounding.
     """
+    z = space.validate(z)
     A = symplectic_matrix(space, z).astype(complex)
-    arr, scalar = _coords(z)
-    df = _grad(space, f, arr, scalar, h=grad_h)
-    dg = _grad(space, g, arr, scalar, h=grad_h)
+    df = _grad(space, f, z, h=grad_h)
+    dg = _grad(space, g, z, h=grad_h)
     xg = np.linalg.solve(A, dg)
     xf = np.linalg.solve(A, df)
     return (complex(df @ xg) - complex(dg @ xf)) / (2.0 * hbar)
@@ -436,16 +419,11 @@ def df_action(traj, ham, space):
         raise DomainError("trajectory too coarse for the action integral")
     dt = float(traj.times[1] - traj.times[0])
     Z = np.asarray(traj.points)
-    coords = np.asarray(Z, dtype=complex).reshape(n, -1)
-    vel = np.empty_like(coords)
-    vel[1:-1] = (coords[2:] - coords[:-2]) / (2.0 * dt)
-    vel[0] = (-3.0 * coords[0] + 4.0 * coords[1] - coords[2]) / (2.0 * dt)
-    vel[-1] = (3.0 * coords[-1] - 4.0 * coords[-2] + coords[-3]) / (2.0 * dt)
+    vel = np.empty_like(Z)
+    vel[1:-1] = (Z[2:] - Z[:-2]) / (2.0 * dt)
+    vel[0] = (-3.0 * Z[0] + 4.0 * Z[1] - Z[2]) / (2.0 * dt)
+    vel[-1] = (3.0 * Z[-1] - 4.0 * Z[-2] + Z[-3]) / (2.0 * dt)
 
-    th = one_form_theta(space, Z, vel.reshape(Z.shape))
-    if ham.stacked:
-        energy = _stacked_values(ham.H, Z, (n,))
-    else:
-        energy = np.array([complex(ham.H(z)) for z in traj.points])
-    lag = 1j * ham.hbar * th - energy
+    th = one_form_theta(space, Z, vel)
+    lag = 1j * ham.hbar * th - _values(ham.H, Z, ham.stacked)
     return complex(np.trapezoid(lag, dx=dt))

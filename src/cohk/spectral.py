@@ -103,7 +103,7 @@ def _two_sided(series, swapped):
     fwd = np.asarray(series.values)
     if swapped is None:
         zq, zpq = series.z, series.zp
-        if zq is not None and zpq is not None and not np.allclose(zq, zpq):
+        if zq is not None and zpq is not None and not np.array_equal(zq, zpq):
             raise DomainError(
                 "off-diagonal series needs the swapped-argument series "
                 "to synthesize negative times"

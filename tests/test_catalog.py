@@ -142,6 +142,14 @@ def test_debranges_diagonal_branch_continuity():
     assert near == pytest.approx(at, rel=1e-6)
 
 
+@pytest.mark.parametrize("name", ["szego", "schur"])
+def test_out_of_disk_label_names_its_space(name):
+    space = make_space(name)
+    for check in (space.validate, lambda z: space.stack([0.1, z])):
+        with pytest.raises(DomainError, match=f"^{name} points lie in the open unit disk$"):
+            check(1.2)
+
+
 def test_schur_rejects_non_schur_map():
     with pytest.raises(DomainError):
         SchurSpace(lambda z: 2.0 * z, lambda z: 2.0)

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import cohk
+import cohk.cli
 from cohk.cli import ConfigError, main, run_config
 
 
@@ -389,6 +390,36 @@ def test_trajectory_csv_shape(tmp_path):
     # harmonic flow keeps z0 fixed and rotates the mode coordinate
     assert complex(last[1], last[2]) == pytest.approx(-0.5 + 0.0j, abs=1e-10)
     assert complex(last[3], last[4]) == pytest.approx(np.exp(-0.5j), abs=1e-6)
+
+
+@pytest.mark.parametrize("q, checks", [
+    (1.000005, ["max_coordinate_error"]),
+    (1.0, ["max_coordinate_error", "norm_drift_rel"]),
+])
+def test_dynamics_norm_check_only_for_a_self_adjoint_generator(tmp_path, q, checks):
+    # q = 1.000005 is within numpy's default rtol of p but not self-adjoint:
+    # its norm drifts by 9.2e-6 here, failing the check meant for unitary flows
+    gen = {"p": [1.0], "q": [q], "X": [[1.0]]}
+    cfg = _base("dynamics", params={"t_end": 1.0, "dt": 0.01, "gen": gen})
+    path = _write_config(tmp_path, cfg)
+    report = run_config(path, out_flag=str(tmp_path / "out"))
+    assert [c.name for c in report.checks] == checks
+    assert main(["run", path, "--out", str(tmp_path / "again")]) == 0
+
+
+def test_spectrum_near_diagonal_pair_takes_the_off_diagonal_path(tmp_path, monkeypatch):
+    # K_{-t}(z, z') = conj(K_t(z, z')) holds only for z' = z, so a pair
+    # within numpy's allclose still needs its swapped series
+    built = []
+    series = cohk.cli.oscillator_series
+    monkeypatch.setattr(cohk.cli, "oscillator_series",
+                        lambda *args: built.append(args) or series(*args))
+    cfg = _base("spectrum", params={
+        "t_max": 62.83185307179586, "dt": 0.05, "E_min": -0.5, "E_max": 2.5,
+        "E_step": 0.04, "completeness_tol": 0.1, "zp": [-0.5, [1.0, 5e-6]]})
+    report = run_config(_write_config(tmp_path, cfg), out_flag=str(tmp_path / "out"))
+    assert len(built) == 2
+    assert [c.name for c in report.checks] == ["lines_found"]
 
 
 # ---- determinism ----

@@ -1,6 +1,7 @@
 """Label flows, the symplectic pipeline, and the action functional."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -11,7 +12,6 @@ from cohk.cli import _quadratic_energy
 from cohk.dynamics import (
     HamiltonianSpec,
     Trajectory,
-    _coords,
     _grad,
     _mixed_matrix,
     autocorrelation,
@@ -263,6 +263,23 @@ def test_propagate_aborts_cleanly_on_oscillator_overflow():
     _assert_aborted_cleanly(traj, 2.5, "non-finite")
 
 
+def test_propagate_steps_a_scalar_label_field():
+    # z' = -i z on the disk: the label rotates, z(t) = z0 e^{-it}
+    z0 = 0.5 + 0.1j
+    ham = HamiltonianSpec(F=lambda t, z: -1j * z)
+    traj = propagate_ode(make_space("szego"), ham, z0, 1.0, 0.01)
+    _assert_one_owned_array(traj)
+    assert traj.points.shape == (101,) and traj.points.dtype == complex
+    assert abs(traj.points[-1] - z0 * np.exp(-1j)) < 1e-9
+
+
+def test_complex_velocity_on_a_real_chart_aborts_the_first_step():
+    ham = HamiltonianSpec(F=lambda t, z: -1j * z)
+    traj = propagate_ode(make_space("euclidean"), ham, [0.3, -0.4], 1.0, 0.01)
+    assert traj.meta["aborted"] and len(traj) == 1
+    assert "expected a real vector of length 2" in traj.meta["reason"]
+
+
 def test_hamiltonian_spec_wants_exactly_one_generator():
     with pytest.raises(DomainError):
         HamiltonianSpec(gen=_number_op(), H=quadratic_H)
@@ -295,6 +312,28 @@ def test_symplectic_matrix_rejects_real_charts():
         rng = np.random.default_rng(SEED)
         with pytest.raises(DegenerateFormError):
             symplectic_matrix(space, space.sample_point(rng))
+
+
+_ENTRY_POINTS = {
+    "field": lambda space, z: hamiltonian_vector_field(space, _smooth_H, z),
+    "bracket": lambda space, z: poisson_bracket(space, _smooth_H, np.real, z),
+    "symplectic": symplectic_matrix,
+}
+
+
+_NOT_KLAUDER = "expected [z0, zhat] as a complex vector of length 2"
+
+
+@pytest.mark.parametrize("entry", sorted(_ENTRY_POINTS))
+@pytest.mark.parametrize("name, z, message", [
+    ("schur", 1.2, "schur points lie in the open unit disk"),
+    ("klauder", np.array([0.1, 0.2, 0.3j]), _NOT_KLAUDER),
+    ("klauder", [0.1, 0.2, 0.3j], _NOT_KLAUDER),
+    ("klauder", [np.nan, 0.2], "non-finite coordinates"),
+], ids=["outside", "long", "long-list", "nan"])
+def test_entry_points_reject_labels_outside_the_space(entry, name, z, message):
+    with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+        _ENTRY_POINTS[entry](make_space(name), z)
 
 
 def test_hamiltonian_field_matches_exact_generator():
@@ -435,6 +474,29 @@ def test_stacked_hamiltonian_is_bitwise_the_per_label_one(dim):
     assert act_s == act_1
 
 
+@pytest.mark.parametrize("name, z0", [
+    ("szego", 0.4 + 0.2j), ("schur", 0.4 + 0.2j), ("debranges", 0.3 + 0.5j),
+])
+def test_el_integrate_conserves_h_on_scalar_charts(name, z0):
+    space = make_space(name)
+
+    def H(z):
+        return space.kernel(z, z).real * np.abs(z) ** 2
+
+    runs = [el_integrate(space, HamiltonianSpec(H=H, stacked=stacked), z0, 0.5, 5e-3)
+            for stacked in (True, False)]
+    for traj in runs:
+        assert not traj.meta["aborted"]
+        _assert_one_owned_array(traj)
+        assert traj.points.shape == (101,) and traj.points.dtype == complex
+        energy = H(traj.points)
+        assert np.abs(energy - energy[0]).max() <= 1e-8 * abs(energy[0])
+    # not bit for bit: one H call per label computes on numpy scalars, whose
+    # arithmetic rounds differently from the stacked call's array loops (the
+    # two already differ on de Branges), and the FD gradient amplifies that
+    assert np.abs(runs[0].points - runs[1].points).max() <= 1e-9
+
+
 def test_stacked_hamiltonian_must_give_one_value_per_label():
     space = make_space("klauder")
     ham = HamiltonianSpec(H=lambda Z: 1.0, stacked=True)
@@ -531,7 +593,7 @@ def _smooth_H(z):
 def _realified_field(space, H, z, hbar=1.0):
     """x' = -(1/hbar) A^{-1} dH with the realified 2-form, as a chart tangent."""
     A = symplectic_matrix(space, z)
-    dH = _grad(space, H, *_coords(z))
+    dH = _grad(space, H, z)
     x = -np.linalg.solve(A.astype(complex), dH) / hbar
     return x[0::2] + 1j * x[1::2]
 

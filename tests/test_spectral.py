@@ -92,6 +92,13 @@ def test_time_average_off_spectrum_decays_like_one_over_t(harmonic_series):
         assert got <= 2.0 / T
 
 
+def test_time_average_off_diagonal_means_not_equal():
+    # z' within numpy's allclose of z is still off the diagonal
+    fwd = oscillator_series(_number_op(), Z0, Z0 + 1e-9, 50.0, 0.05)
+    with pytest.raises(DomainError, match="swapped-argument series"):
+        time_average_overlap(fwd, 0.0, 40.0)
+
+
 def test_time_average_needs_coverage(harmonic_series):
     with pytest.raises(DomainError):
         time_average_overlap(harmonic_series, 0.0, 1e6)
