@@ -65,7 +65,14 @@ from .core import (
     gram,
     psd_check,
 )
-from .dynamics import HamiltonianSpec, autocorrelation, df_action, el_integrate, propagate_ode
+from .dynamics import (
+    HamiltonianSpec,
+    _flow_points,
+    autocorrelation,
+    df_action,
+    el_integrate,
+    propagate_ode,
+)
 from .fock import (
     OscGenerator,
     ccr_epsilon_check,
@@ -74,7 +81,6 @@ from .fock import (
     weyl_relation_residuals,
 )
 from .spectral import (
-    _flow_points,
     oscillator_series,
     resolvent_element,
     resolvent_equation_residual,

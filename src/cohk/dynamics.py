@@ -2,8 +2,12 @@
 
 Oscillator generators integrate exactly in flow_exact, the package's one
 exact flow: one block exponential per time, broadcast over the labels.  Label
-fields integrate with fixed-step RK4 (propagate_ode), whose oscillator stages
-are each one product of the homogeneous label [z, 1] with the block generator.
+fields integrate with fixed-step RK4 (propagate_ode).  A uniform grid of
+oscillator labels, exact or RK4, is built by one doubling loop (_doubling):
+the map of s steps carries the first s rows onto the next s, so N steps cost
+log2(N) block products instead of N Python steps.  The exact grid takes each
+map from flow_exact; the RK4 grid squares the RK4 step map, since one RK4
+step of a linear field is a fixed linear map of the homogeneous label [z, 1].
 Every integrator, field, gradient and bracket works on labels in the form
 ``space.validate`` returns: a coordinate vector, or a number on scalar charts.
 
@@ -169,6 +173,83 @@ def _flow(gen, t, z, hbar, depth):
     return out
 
 
+def _doubling(pts, advance):
+    """Fill the rows pts[1:] from pts[0] by doubling; returns how many rows
+    were filled.
+
+    ``advance(s, src, dst)`` writes into ``dst`` the rows s steps after the
+    rows ``src`` and returns the step count of the next block: 2 s while
+    the map of 2 s steps is available, s to go on in blocks of s, or 0 to
+    stop.  While doubling, rows [m, 2m) come from rows [0, m), so row k
+    sees at most log2(k) maps, and a row's bits do not depend on how many
+    rows follow it.
+    """
+    n, m, s = len(pts), 1, 1
+    while m < n and s:
+        k = min(s, n - m)
+        s_next = advance(s, pts[m - s:m - s + k], pts[m:m + k])
+        m, s = m + k, s_next
+    return m
+
+
+def _flow_points(gen, z_start, n_steps, dt, hbar):
+    """Labels psi(k dt) for k = 0..n_steps of the exact flow, by doubling.
+    Each block is a fresh flow_exact of s dt, exact for s = 2^j, not the
+    square of the previous map, which would compound its rounding."""
+    pts = np.empty((n_steps + 1, gen.n + 1), dtype=complex)
+    pts[0] = z_start
+
+    def advance(s, src, dst):
+        dst[...] = flow_exact(gen, s * dt, src, hbar)
+        return 2 * s
+
+    _doubling(pts, advance)
+    return pts
+
+
+def _rk4_points(ham, z0, n_steps, dt):
+    """Oscillator RK4 labels for k = 0..n_steps, by doubling.
+
+    One RK4 step of y' = y Mt, for the homogeneous label y = [z, 1] and the
+    transposed block generator Mt = -(i/hbar) gen_block(gen)^T, is the
+    linear map y -> y R with R = I + E_1,
+    E_1 = A (I + A (I/2 + A (I/6 + A/24))), A = dt Mt.  Powers are carried
+    as R^s = I + E_s, squared as E_2s = 2 E_s + E_s E_s, because squaring
+    the rounded R would compound its rounding linearly in the step count.
+    The last column of E_s is zero, so a block applies the affine map
+    z -> z + z L + e, with L and e the leading block and the last row of
+    E_s.  Once E_2s is not finite the rows go on in blocks of s: a zero
+    coordinate times an infinite entry would give NaN where single steps
+    stay finite.  The fill stops after the first block holding a row that
+    is not finite, so only the rows it returns are set.
+    """
+    A = dt * (-(1j / ham.hbar) * gen_block(ham.gen)).T
+    eye = np.eye(len(A))
+    E = A @ (eye + A @ (eye / 2.0 + A @ (eye / 6.0 + A / 24.0)))
+    doubling = True
+
+    def advance(s, src, dst):
+        nonlocal E, doubling
+        np.matmul(src, E[:-1, :-1], out=dst)
+        dst += src
+        dst += E[-1, :-1]
+        if not np.isfinite(dst.view(float)).all():
+            return 0
+        if doubling:
+            E2 = 2.0 * E + E @ E
+            doubling = bool(np.isfinite(E2.view(float)).all())
+            if doubling:
+                E = E2
+                return 2 * s
+        return s
+
+    pts = np.empty((n_steps + 1, len(z0)), dtype=complex)
+    pts[0] = z0
+    with np.errstate(over="ignore", invalid="ignore"):
+        filled = _doubling(pts, advance)
+    return pts if filled == len(pts) else pts[:filled]
+
+
 def oscillator_field(gen, hbar=1.0):
     """Closed-form label velocity of the oscillator flow:
     dz0 = -i(rho + p* zhat)/hbar, dzhat = -i(q + X zhat)/hbar."""
@@ -237,16 +318,21 @@ def _rk4_step(f, t, y, dt):
 def propagate_ode(space, ham, z0, t_end, dt):
     """Fixed-step RK4 on the label field of ``ham``.
 
-    The loop steps the label as ``space.validate`` returns it, and
-    validates each step.  Oscillator specs step the homogeneous label
-    [z, 1], so each stage is one product with the transposed block
-    generator -(i/hbar) gen_block(gen).  ``F`` specs step z' = F(t, z).
-    Classical specs use the Euler-Lagrange field (see el_integrate).  If a
-    step leaves the space's domain the trajectory is returned truncated at
-    the last valid point, with meta["aborted"] set; meta["hbar"] records
-    the spec's hbar for autocorrelation.  The points are one
-    array that owns its data, filled row by row with the validated labels;
-    a truncated trajectory is a copy of the rows it reached.
+    Oscillator specs build the whole trajectory by doubling
+    (``_rk4_points``): one RK4 step of their linear field is a fixed affine
+    map, so k steps are its k-th power, and the labels are checked in one
+    finiteness and domain pass over the array.  They move complex label
+    vectors [z0, zhat], so a scalar or real chart raises DomainError.
+    ``F`` specs step z' = F(t, z), and classical specs the Euler-Lagrange
+    field (see el_integrate), in a loop that steps the label as
+    ``space.validate`` returns it and validates each step; on a real chart
+    the Euler-Lagrange field raises DegenerateFormError before the loop.
+    If a label leaves the space's domain, or an Euler-Lagrange stage finds
+    the 2-form degenerate, the trajectory is returned truncated at the
+    last valid point, with meta["aborted"] set and meta["reason"] the
+    error's message; meta["hbar"] records the spec's hbar for
+    autocorrelation.  The points are one array that owns its data; a
+    truncated trajectory is a copy of the rows it reached.
     """
     if dt <= 0 or t_end < 0:
         raise DomainError("need dt > 0 and t_end >= 0")
@@ -256,14 +342,17 @@ def propagate_ode(space, ham, z0, t_end, dt):
                           f"the most allowed is {MAX_SIZE}")
     n_steps = int(round(steps))
     y = z0 = space.validate(z0)
+    meta = {"integrator": "rk4", "dt": dt, "hbar": ham.hbar, "aborted": False}
     if ham.gen is not None:
-        Mt = (-(1j / ham.hbar) * gen_block(ham.gen)).T
-        y = np.append(z0, 1.0)
-
-        def f(t, y):
-            return y @ Mt
-    elif ham.F is not None:
+        if space.scalar_chart or not space.complex_chart:
+            raise DomainError(f"oscillator generators move complex label vectors, "
+                              f"which {space.space_id} does not have")
+        points = _valid_rows(space, _rk4_points(ham, z0, n_steps, dt), meta)
+        return Trajectory(dt * np.arange(len(points)), points, meta)
+    if ham.F is not None:
         f = ham.F
+    elif not space.complex_chart:
+        raise _real_chart_error(space)
     else:
         def f(t, y):
             return _el_velocity(space, ham.H, y, ham.hbar, stacked=ham.stacked)
@@ -271,18 +360,34 @@ def propagate_ode(space, ham, z0, t_end, dt):
     # np.empty commits memory only for the rows a run reaches
     points = np.empty((n_steps + 1,) + np.shape(z0), dtype=np.asarray(z0).dtype)
     points[0] = z0
-    meta = {"integrator": "rk4", "dt": dt, "hbar": ham.hbar, "aborted": False}
     for i in range(n_steps):
         try:
             y = _rk4_step(f, i * dt, y, dt)
-            points[i + 1] = space.validate(y if ham.gen is None else y[:-1])
-        except DomainError as err:
+            points[i + 1] = space.validate(y)
+        except (DomainError, DegenerateFormError) as err:
             meta["aborted"] = True
             meta["reason"] = str(err)
             points = points[: i + 1].copy()
             break
-    times = dt * np.arange(len(points))
-    return Trajectory(times, points, meta)
+    return Trajectory(dt * np.arange(len(points)), points, meta)
+
+
+def _valid_rows(space, pts, meta):
+    """The rows of ``pts`` before the first label ``space.validate``
+    rejects, found by one finiteness and domain pass over the stack; that
+    label's rejection ends the run as in propagate_ode's loop."""
+    ok = np.isfinite(pts.view(float)).all(axis=-1)
+    n = len(pts) if ok.all() else int(ok.argmin())
+    ok[:n] = ~np.asarray(space._outside(pts[:n]))
+    if ok.all():
+        return pts
+    i = int(ok.argmin())
+    try:
+        space.validate(pts[i])
+    except DomainError as err:
+        meta["aborted"] = True
+        meta["reason"] = str(err)
+    return pts[:i].copy()
 
 
 def autocorrelation(space, z, traj):

@@ -2,11 +2,12 @@
 
 Everything here consumes the Klauder K_t(z, z') = <z| e^{-i t H / hbar} |z'>
 of H = dGamma(gen), given labels and a HamiltonianSpec with ``gen`` set (no
-space), on a uniform grid of exact oscillator flow points.  The flow is built
-by doubling: flow_exact over m steps, for m = 1, 2, 4, ..., maps the first m
-points onto the next m, so a series of N steps costs log2(N) flow_exact calls
-and each point carries the rounding of at most log2(N) of them; a flow that
-overflows raises DomainError.  Time averages pick out eigencomponents, a
+space), on a uniform grid of exact oscillator flow points.  The grid is
+built by the doubling of ``dynamics._flow_points``: flow_exact over m steps,
+for m = 1, 2, 4, ..., maps the first m points onto the next m, so a series
+of N steps costs log2(N) flow_exact calls and each point carries the
+rounding of at most log2(N) of them; a flow that overflows raises
+DomainError.  Time averages pick out eigencomponents, a
 Hann-windowed Fourier scan locates spectral lines, and damped one-sided
 quadrature
 
@@ -29,7 +30,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .core import MAX_SIZE, DomainError
-from .dynamics import AutocorrSeries, autocorrelation, flow_exact
+from .dynamics import AutocorrSeries, _flow_points, autocorrelation, flow_exact
 from .fock import OscGenerator, dgamma_element, klauder_kernel
 
 __all__ = [
@@ -56,20 +57,6 @@ class SpectralLine:
 
 # ---------------------------------------------------------------------------
 # series construction
-
-
-def _flow_points(gen, z_start, n_steps, dt, hbar):
-    """Labels psi(k dt) for k = 0..n_steps, by doubling (module docstring).
-    Each doubling is a fresh flow_exact of m dt, exact for m = 2^j, not the
-    square of the previous map, which would compound its rounding."""
-    pts = np.empty((n_steps + 1, gen.n + 1), dtype=complex)
-    pts[0] = z_start
-    m = 1
-    while m <= n_steps:
-        k = min(m, n_steps + 1 - m)
-        pts[m:m + k] = flow_exact(gen, m * dt, pts[:k], hbar)
-        m += k
-    return pts
 
 
 def _series_points(gen, zp, t_max, dt, hbar):

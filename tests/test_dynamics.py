@@ -12,6 +12,7 @@ from cohk.cli import _quadratic_energy
 from cohk.dynamics import (
     HamiltonianSpec,
     Trajectory,
+    _flow_points,
     _grad,
     _mixed_matrix,
     autocorrelation,
@@ -509,13 +510,34 @@ def test_stacked_hamiltonian_must_give_one_value_per_label():
         df_action(traj, ham, space)
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_degenerate_el_stage_truncates_the_run():
+    # K(z, z) = e^{2 Re z0} passes the degeneracy cut near Re z0 = 354.5;
+    # the run keeps the steps before it (measured 12 points)
+    ham = HamiltonianSpec(H=lambda z: 1e308 * z[0].imag)
+    traj = el_integrate(make_space("klauder", dim=1), ham, [354.0, 0.0], 5.0, 0.05)
+    _assert_aborted_cleanly(traj, 5.0, "coherent 2-form degenerate")
+    assert len(traj) > 2
+
+
+@pytest.mark.parametrize("name", ["euclidean", "reciprocal"])
+def test_el_on_a_real_chart_raises_before_the_loop(name):
+    space = make_space(name)
+    calls = []
+    ham = HamiltonianSpec(H=lambda z: calls.append(z) or 0.0)
+    with pytest.raises(DegenerateFormError, match="vanishes identically"):
+        el_integrate(space, ham, space.sample_point(np.random.default_rng(SEED)), 1.0, 0.01)
+    assert not calls
+
+
 # ---------------------------------------------------------------------------
 # integrator stages against their references
 
 
 def _field_rk4(space, gen, z0, t_end, dt, hbar=1.0):
     """Reference oscillator RK4: the closed-form field oscillator_field,
-    one call per stage, with propagate_ode's per-step validate and abort."""
+    one call per stage, validating each step and stopping at the first
+    label that validate rejects."""
     f = oscillator_field(gen, hbar)
     y = np.asarray(z0, dtype=complex).copy()
     points, aborted = [y], False
@@ -534,9 +556,10 @@ def _field_rk4(space, gen, z0, t_end, dt, hbar=1.0):
     return np.stack(points), aborted
 
 
-# Generators whose entries are 0, powers of two or ones make every product in
-# a stage exact and every sum at most two terms, so the matrix-form stage
-# must reproduce the field's arithmetic bit for bit.
+# Generators whose entries are 0, powers of two or ones, on which the former
+# per-stage matrix form reproduced the field loop bit for bit.  The doubled
+# trajectory applies powers of the step map instead, so it agrees with the
+# loop to rounding: measured at most 6.1e-15 of each row's largest entry.
 _BITWISE_CASES = {
     "number-dim1": (_number_op(1), [-0.5, 1.0], 4.0, 1e-3),
     "number-dim2": (_number_op(2), [0.25 - 0.5j, 1.0, 0.3 + 0.7j], 4.0, 1e-3),
@@ -552,6 +575,13 @@ _BITWISE_CASES = {
 }
 
 
+def _assert_rows_match(got, want, rtol):
+    """Each row of got within rtol of the largest entry of that row of want."""
+    assert got.shape == want.shape
+    err = np.abs(got - want).max(axis=-1)
+    assert (err <= rtol * np.abs(want).max(axis=-1)).all()
+
+
 @pytest.mark.parametrize("case", sorted(_BITWISE_CASES))
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_oscillator_rk4_is_bitwise_the_field_loop(case):
@@ -562,8 +592,75 @@ def test_oscillator_rk4_is_bitwise_the_field_loop(case):
     traj = propagate_ode(space, HamiltonianSpec(gen=gen), z0, t_end, dt)
     assert traj.meta["aborted"] == aborted == (case == "aborted")
     if aborted:
-        assert 2 < len(traj) < round(t_end / dt)
-    assert np.array_equal(np.stack(traj.points), want)
+        # the loop's last stage overflows a step before the label does, and
+        # the doubled run has no stages, so it keeps one more finite row
+        assert len(want) == 124 and len(traj) == 125
+        assert "non-finite" in traj.meta["reason"]
+    _assert_rows_match(traj.points[:len(want)], want, 1e-14)
+
+
+def _fallback_gen():
+    """X = diag(512j, 1): one RK4 step multiplies the first mode by 297 at
+    dt = 1/64, so the step map's 128th power overflows."""
+    return OscGenerator(0.0, np.zeros(2), np.zeros(2), np.diag([512j, 1.0]))
+
+
+def test_oscillator_rk4_goes_on_in_blocks_once_a_power_overflows():
+    # the growing mode's coordinate is 0, and 0 times the overflowed power
+    # would be NaN: doubling on would abort the run at row 128, where the
+    # field loop stays finite through all 257 rows (measured 7.1e-16)
+    space = make_space("klauder", dim=2)
+    z0 = np.array([-0.5, 0.0, 1.0], dtype=complex)
+    want, aborted = _field_rk4(space, _fallback_gen(), z0, 4.0, 1.0 / 64)
+    traj = propagate_ode(space, HamiltonianSpec(gen=_fallback_gen()), z0, 4.0, 1.0 / 64)
+    assert not aborted and not traj.meta["aborted"] and len(want) == 257
+    _assert_rows_match(traj.points, want, 1e-14)
+
+
+_DRIVE = OscGenerator(0.3, np.array([0.2 + 0.1j]), np.array([0.2 + 0.1j]), np.eye(1))
+
+
+def _assert_prefixes(runs):
+    """Each run's rows are, bit for bit, the first rows of the last run."""
+    for pts in runs[:-1]:
+        assert len(pts) < len(runs[-1])
+        assert pts.tobytes() == runs[-1][:len(pts)].tobytes()
+
+
+# the exact flow of the fallback generator overflows (e^{512 t}), so only
+# its RK4 rows are compared
+@pytest.mark.parametrize("gen, z0, dt, horizons, exact", [
+    (_number_op(), Z0, 1e-2, (0.5, 1.27, 3.0), True),
+    (_DRIVE, Z0, 1e-3, (0.1, 1.0, 2.049), True),
+    (_fallback_gen(), [-0.5, 0.0, 1.0], 1.0 / 64, (1.0, 2.0, 4.0), False),
+], ids=["number", "self-adjoint-drive", "overflow-fallback"])
+def test_doubled_rows_do_not_depend_on_the_horizon(gen, z0, dt, horizons, exact):
+    space = make_space("klauder", dim=gen.n)
+    ham = HamiltonianSpec(gen=gen)
+    _assert_prefixes([propagate_ode(space, ham, z0, t_end, dt).points for t_end in horizons])
+    if exact:
+        _assert_prefixes([_flow_points(gen, z0, round(t_end / dt), dt, 1.0)
+                          for t_end in horizons])
+
+
+def test_oscillator_rk4_conserves_the_norm_over_2_20_steps():
+    # the self-adjoint drive of test_norm_conserved_for_self_adjoint_drive,
+    # 256 times longer (measured: drift 1.4e-13, end point 1.1e-11)
+    space = make_space("klauder")
+    traj = propagate_ode(space, HamiltonianSpec(gen=_DRIVE), Z0, 2 ** 20 * 1e-3, 1e-3)
+    assert len(traj) == 2 ** 20 + 1 and not traj.meta["aborted"]
+    norms = space.kernel(traj.points, traj.points).real
+    assert np.abs(norms - norms[0]).max() <= 1e-12 * norms[0]
+    exact = flow_exact(_DRIVE, traj.times[-1], Z0)
+    assert np.abs(traj.points[-1] - exact).max() <= 1e-10
+
+
+@pytest.mark.parametrize("name", ["euclidean", "reciprocal", "szego"])
+def test_oscillator_spec_needs_complex_label_vectors(name):
+    space = make_space(name)
+    z0 = space.sample_point(np.random.default_rng(SEED))
+    with pytest.raises(DomainError, match="complex label vectors"):
+        propagate_ode(space, _harmonic_ham(), z0, 1.0, 0.01)
 
 
 @pytest.mark.parametrize("n", [1, 2])
