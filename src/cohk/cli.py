@@ -640,13 +640,31 @@ def _quadratic_energy(space):
     return H
 
 
+def _quadratic_energy_dH(space):
+    """dH/dconj(z) = K(z,z) [|zhat|^2, zhat (|zhat|^2 + 1)] for the
+    _quadratic_energy H on klauder, where K(z,z) = exp(2 Re z0 + |zhat|^2),
+    from one kernel evaluation; in label form, broadcast like H."""
+
+    def dH(z):
+        zh = z[..., 1:]
+        k = space.kernel(z, z).real
+        n = np.vecdot(zh, zh).real
+        out = np.empty(np.shape(z), dtype=complex)
+        out[..., 0] = k * n
+        out[..., 1:] = (k * (n + 1.0))[..., None] * zh
+        return out
+
+    return dH
+
+
 def _run_df_propagate(ctx):
     p = ctx.params
     z0 = ctx.label("z0")
     t_end, dt = _horizon(p)
     if np.all(np.abs(np.asarray(z0)[1:]) < 1e-12):
         raise ConfigError("params.z0: the orbit angle needs a nonzero mode coordinate")
-    ham = HamiltonianSpec(H=_quadratic_energy(ctx.space), stacked=True)
+    ham = HamiltonianSpec(H=_quadratic_energy(ctx.space), dH=_quadratic_energy_dH(ctx.space),
+                          stacked=True)
     traj = _whole(el_integrate(ctx.space, ham, z0, t_end, dt))
     t_fin = float(traj.times[-1])
     got = np.asarray(traj.points[-1], dtype=complex)

@@ -15,12 +15,15 @@ Classical Hamiltonians follow the Euler-Lagrange equation of the coherent
 action in the complex chart.  With M(X, Y) = L_X R_Y K(z, z) = X* Hm Y for
 the Hermitian mixed matrix Hm(z), it reads
 
-    i hbar Hm(z) z' = dH/dconj(z) = g,   g = (w[0::2] + i w[1::2]) / 2,
+    i hbar Hm(z) z' = dH/dconj(z) = g.
 
-where w is the central-difference gradient of H over the real coordinates
-[Re c0, Im c0, Re c1, ...].  Each stage solves it from one eigh of Hm,
-which also decides degeneracy (_form_eigh): the form is degenerate unless
-every eigenvalue is finite and 0 < lambda_min, lambda_max < 1e12 lambda_min.
+A spec's closed-form ``dH`` gives g directly.  Without one, g =
+(w[0::2] + i w[1::2]) / 2, where w is the central-difference gradient of H
+over the real coordinates [Re c0, Im c0, Re c1, ...] (_grad); that stencil
+is also the oracle the closed forms are tested against.  Each stage solves
+the equation from one eigh of Hm, which also decides degeneracy
+(_form_eigh): the form is degenerate unless every eigenvalue is finite and
+0 < lambda_min, 1e-12 lambda_max < lambda_min.
 
 symplectic_matrix keeps the realified 2-form, the real antisymmetric
 matrix A[a, b] = 2 Im M(E_a, E_b); Poisson brackets are
@@ -101,12 +104,16 @@ class HamiltonianSpec:
     too, unless ``stacked`` declares that it broadcasts over labels stacked
     along leading axes, as ``CoherentSpace.kernel`` does, returning one
     value per label; the integrators then call it once on a whole gradient
-    stencil or trajectory.
+    stencil or trajectory.  The optional ``dH`` is H's Wirtinger
+    derivative dH/dconj(z), returned in label form with the shape of its
+    label (and broadcast like H if ``stacked``); the Euler-Lagrange stages
+    use it in place of the finite-difference gradient of H.
     """
 
     gen: object = None
     F: object = None
     H: object = None
+    dH: object = None
     hbar: float = 1.0
     stacked: bool = False
 
@@ -115,6 +122,8 @@ class HamiltonianSpec:
             raise DomainError("hbar must be positive")
         if sum(x is not None for x in (self.gen, self.F, self.H)) != 1:
             raise DomainError("specify exactly one of gen, F, H")
+        if self.dH is not None and self.H is None:
+            raise DomainError("dH is the derivative of a classical H; give H with it")
 
 
 # ---------------------------------------------------------------------------
@@ -269,6 +278,15 @@ def oscillator_field(gen, hbar=1.0):
 # chart utilities (realification of tangents, H on stacked labels)
 
 
+def _wirtinger(dH, z):
+    """dH(z) for one label, flat: a result not in the label's shape raises
+    TypeError, as a malformed stacked H does in ``_values``."""
+    g = np.asarray(dH(z), dtype=complex)
+    if g.shape != np.shape(z):
+        raise TypeError(f"dH returned shape {g.shape} for a label of shape {np.shape(z)}")
+    return g.reshape(-1)
+
+
 def _values(H, Z, stacked):
     """Values of H on the labels Z, stacked along the first axis: one call
     if ``stacked``, else one call per label.  A stacked result of any other
@@ -355,20 +373,24 @@ def propagate_ode(space, ham, z0, t_end, dt):
         raise _real_chart_error(space)
     else:
         def f(t, y):
-            return _el_velocity(space, ham.H, y, ham.hbar, stacked=ham.stacked)
+            return _el_velocity(space, ham.H, y, ham.hbar, stacked=ham.stacked, dH=ham.dH)
 
     # np.empty commits memory only for the rows a run reaches
     points = np.empty((n_steps + 1,) + np.shape(z0), dtype=np.asarray(z0).dtype)
     points[0] = z0
-    for i in range(n_steps):
-        try:
-            y = _rk4_step(f, i * dt, y, dt)
-            points[i + 1] = space.validate(y)
-        except (DomainError, DegenerateFormError) as err:
-            meta["aborted"] = True
-            meta["reason"] = str(err)
-            points = points[: i + 1].copy()
-            break
+    # every step's label is validated, and every Euler-Lagrange stage tests
+    # its form for finiteness, so an overflow ends the run as an abort, not
+    # as a warning
+    with np.errstate(over="ignore"):
+        for i in range(n_steps):
+            try:
+                y = _rk4_step(f, i * dt, y, dt)
+                points[i + 1] = space.validate(y)
+            except (DomainError, DegenerateFormError) as err:
+                meta["aborted"] = True
+                meta["reason"] = str(err)
+                points = points[: i + 1].copy()
+                break
     return Trajectory(dt * np.arange(len(points)), points, meta)
 
 
@@ -442,7 +464,7 @@ def _form_eigh(space, z):
     S = Hm + Hm.conj().T
     if np.isfinite(S).all():
         lam, V = np.linalg.eigh(S)
-        if np.isfinite(lam).all() and 0.0 < lam[0] and lam[-1] < 1e12 * lam[0]:
+        if np.isfinite(lam).all() and 0.0 < lam[0] and lam[-1] * 1e-12 < lam[0]:
             return Hm, lam, V
     raise DegenerateFormError(f"coherent 2-form degenerate at z = {z!r}")
 
@@ -457,7 +479,9 @@ def symplectic_matrix(space, z):
 
 def _grad(space, f, z, h=None, stacked=False):
     """Central-difference gradient of f in realified coordinates at the
-    label z: the stencil is one stack of labels, evaluated by ``_values``."""
+    label z: the stencil is one stack of labels, evaluated by ``_values``.
+    It is the Euler-Lagrange stage's gradient where a spec gives no ``dH``,
+    and the oracle for the closed forms where it does."""
     if h is None:
         h = 1e-6 * max(1.0, float(np.linalg.norm(z)))
     steps = h * _real_basis(space)
@@ -466,22 +490,27 @@ def _grad(space, f, z, h=None, stacked=False):
     return (vals[:n] - vals[n:]) / (2.0 * h)
 
 
-def _el_velocity(space, H, z, hbar, h=None, stacked=False):
+def _el_velocity(space, H, z, hbar, h=None, stacked=False, dH=None):
     """Velocity of the Euler-Lagrange field at the label z, in label form:
-    z' = -(i/hbar) Hm^{-1} g with g = (w[0::2] + i w[1::2]) / 2, solved as
-    (Hm + Hm*)^{-1} (2 g) from one eigendecomposition that also decides
+    z' = -(i/hbar) Hm^{-1} g with g = dH(z) where ``dH`` is given, else
+    g = (w[0::2] + i w[1::2]) / 2 from the stencil gradient w of H; solved
+    as (Hm + Hm*)^{-1} (2 g) from one eigendecomposition that also decides
     degeneracy (see the module docstring)."""
     _, lam, V = _form_eigh(space, z)
-    w = _grad(space, H, z, h, stacked)
-    g2 = w[0::2] + 1j * w[1::2]
+    if dH is None:
+        w = _grad(space, H, z, h, stacked)
+        g2 = w[0::2] + 1j * w[1::2]
+    else:
+        g2 = 2.0 * _wirtinger(dH, z)
     v = (-1j / hbar) * (V @ ((V.conj().T @ g2) / lam))
     return complex(v[0]) if space.scalar_chart else v
 
 
-def hamiltonian_vector_field(space, H, z, hbar=1.0, grad_h=None):
+def hamiltonian_vector_field(space, H, z, hbar=1.0, grad_h=None, dH=None):
     """Euler-Lagrange field z' = -(i/hbar) Hm^{-1} dH/dconj(z) at z, as a
-    tangent in label form."""
-    return _el_velocity(space, H, space.validate(z), hbar, grad_h)
+    tangent in label form; the derivative is ``dH(z)`` where given, else
+    the stencil gradient of H with step ``grad_h``."""
+    return _el_velocity(space, H, space.validate(z), hbar, grad_h, dH=dH)
 
 
 def poisson_bracket(space, f, g, z, hbar=1.0, grad_h=None):
@@ -489,7 +518,9 @@ def poisson_bracket(space, f, g, z, hbar=1.0, grad_h=None):
 
     Evaluated in the explicitly antisymmetrized form
     (df . A^{-1} dg - dg . A^{-1} df) / 2, so that swapping f and g
-    negates the result exactly, not just up to solver rounding.
+    negates the result exactly, not just up to solver rounding.  f and g
+    are plain functions of a label, not specs, so their gradients always
+    come from the central-difference stencil (``_grad``).
     """
     z = space.validate(z)
     A = symplectic_matrix(space, z).astype(complex)
@@ -502,7 +533,8 @@ def poisson_bracket(space, f, g, z, hbar=1.0, grad_h=None):
 
 def el_integrate(space, ham, z0, t_end, dt):
     """Integrate the coherent Euler-Lagrange equation i hbar Hm z' = dH/dconj(z)
-    with RK4, assembling Hm and the gradient at every stage."""
+    with RK4, assembling Hm and the derivative (the spec's ``dH``, else the
+    stencil gradient of H) at every stage."""
     if ham.H is None:
         raise DomainError("el_integrate needs a classical Hamiltonian")
     return propagate_ode(space, ham, z0, t_end, dt)

@@ -344,6 +344,17 @@ def test_seed_flag_overrides_config(tmp_path):
     assert rep_b["seed"] == 99
 
 
+def test_df_propagate_demo_takes_the_closed_form_gradient(tmp_path):
+    # the FD gradient stencil gives 9.7e-11 and 1.5e-12 on the demo config,
+    # the closed-form dH/dconj(z) 2.6e-14 and 7.8e-16
+    demo = Path(__file__).resolve().parent.parent / "demos" / "configs" / "df-propagate.json"
+    report = run_config(str(demo), out_flag=str(tmp_path / "out"), seed_flag=1)
+    assert report.passed
+    values = {c.name: c.value for c in report.checks}
+    assert values["orbit_angle_error"] <= 1e-12
+    assert values["mode_magnitude_drift"] <= 1e-14
+
+
 def test_gram_psd_explicit_points_value(tmp_path):
     # the 3x3 Hilbert-type gram on 0.5, 1.5, 2.5 has a known smallest eigenvalue
     cfg = _base(

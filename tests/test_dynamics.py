@@ -8,7 +8,7 @@ import pytest
 
 from cohk.core import DegenerateFormError, DomainError
 from cohk.catalog import fd_LR, make_space, space_names
-from cohk.cli import _quadratic_energy
+from cohk.cli import _quadratic_energy, _quadratic_energy_dH
 from cohk.dynamics import (
     HamiltonianSpec,
     Trajectory,
@@ -290,6 +290,15 @@ def test_hamiltonian_spec_wants_exactly_one_generator():
         HamiltonianSpec(gen=_number_op(), hbar=0.0)
 
 
+def test_a_dH_needs_its_H():
+    dH = _quadratic_energy_dH(make_space("klauder"))
+    for other in ({"gen": _number_op()}, {"F": lambda t, z: -1j * z}):
+        with pytest.raises(DomainError, match="give H with it"):
+            HamiltonianSpec(dH=dH, **other)
+    with pytest.raises(DomainError):
+        HamiltonianSpec(dH=dH)
+
+
 # ---------------------------------------------------------------------------
 # symplectic structure
 
@@ -510,7 +519,6 @@ def test_stacked_hamiltonian_must_give_one_value_per_label():
         df_action(traj, ham, space)
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_degenerate_el_stage_truncates_the_run():
     # K(z, z) = e^{2 Re z0} passes the degeneracy cut near Re z0 = 354.5;
     # the run keeps the steps before it (measured 12 points)
@@ -518,6 +526,50 @@ def test_degenerate_el_stage_truncates_the_run():
     traj = el_integrate(make_space("klauder", dim=1), ham, [354.0, 0.0], 5.0, 0.05)
     _assert_aborted_cleanly(traj, 5.0, "coherent 2-form degenerate")
     assert len(traj) > 2
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_quadratic_energy_dH_matches_the_stencil(dim):
+    # the closed form against the FD oracle, whose error is about 1e-10 of
+    # the gradient here; one stacked call gives each label's own bits
+    space = make_space("klauder", dim=dim)
+    H, dH = _quadratic_energy(space), _quadratic_energy_dH(space)
+    Z = space.sample_points(np.random.default_rng(SEED), 50)
+    G = dH(Z)
+    assert G.shape == Z.shape
+    for z, g in zip(Z, G):
+        assert np.array_equal(dH(z), g)
+        w = _grad(space, H, z, stacked=True)
+        want = w[0::2] + 1j * w[1::2]
+        assert np.abs(2.0 * g - want).max() <= 1e-8 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_el_integrate_with_dH_agrees_with_the_stencil(dim):
+    space = make_space("klauder", dim=dim)
+    z0 = space.sample_point(np.random.default_rng(SEED))
+    H = _quadratic_energy(space)
+    runs = [el_integrate(space, HamiltonianSpec(H=H, dH=dH, stacked=True), z0, 1.0, 2e-3)
+            for dH in (_quadratic_energy_dH(space), None)]
+    closed, fd = (traj.points for traj in runs)
+    assert closed.shape == fd.shape == (501, dim + 1)
+    assert np.abs(closed - fd).max() <= 1e-9
+    # the EL flow of this H is the exact N flow: the mode rotates as e^{-it}
+    want = z0[1:] * np.exp(-1j * runs[0].times[-1])
+    assert np.abs(closed[-1, 1:] - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def test_dH_of_the_wrong_shape_raises_type_error():
+    space = make_space("klauder")
+    ham = HamiltonianSpec(H=quadratic_H, dH=lambda z: 1.0)
+    # a malformed spec raises out of the integrator, as a malformed stacked H does
+    with pytest.raises(TypeError, match=r"dH returned shape \(\) for a label of shape \(2,\)"):
+        el_integrate(space, ham, Z0, 0.1, 1e-2)
+    with pytest.raises(TypeError, match=r"shape \(1,\) for a label of shape \(2,\)"):
+        hamiltonian_vector_field(space, quadratic_H, Z0, dH=lambda z: z[:1])
+    szego = make_space("szego")
+    with pytest.raises(TypeError, match=r"shape \(1,\) for a label of shape \(\)"):
+        hamiltonian_vector_field(szego, _smooth_H, 0.3 + 0.1j, dH=lambda z: np.atleast_1d(z))
 
 
 @pytest.mark.parametrize("name", ["euclidean", "reciprocal"])
@@ -687,6 +739,14 @@ def _smooth_H(z):
     return float(np.sum(np.abs(a) ** 2) + np.real(a[0] ** 3) + 0.5 * np.imag(a[-1]))
 
 
+def _smooth_dH(z):
+    """dH/dconj(z) of _smooth_H in label form: z + 3/2 conj(z0)^2 e_0 + i/4 e_last."""
+    g = np.array(z, dtype=complex, ndmin=1)
+    g[0] += 1.5 * np.conj(g[0]) ** 2
+    g[-1] += 0.25j
+    return g.reshape(np.shape(z))
+
+
 def _realified_field(space, H, z, hbar=1.0):
     """x' = -(1/hbar) A^{-1} dH with the realified 2-form, as a chart tangent."""
     A = symplectic_matrix(space, z)
@@ -707,6 +767,19 @@ def test_el_field_matches_the_realified_solve(space):
         got = np.atleast_1d(hamiltonian_vector_field(space, _smooth_H, z, hbar=0.8))
         want = _realified_field(space, _smooth_H, z, hbar=0.8)
         assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("space", _COMPLEX_CHARTS, ids=lambda s: s.space_id)
+def test_el_field_with_dH_matches_the_realified_solve(space):
+    # the closed dH against the realified solve of the FD gradient, so they
+    # agree to the stencil's error, not to rounding
+    rng = np.random.default_rng(SEED)
+    for _ in range(50):
+        z = space.sample_point(rng)
+        got = hamiltonian_vector_field(space, _smooth_H, z, hbar=0.8, dH=_smooth_dH)
+        assert np.shape(got) == np.shape(z)
+        want = _realified_field(space, _smooth_H, z, hbar=0.8)
+        assert np.abs(np.atleast_1d(got) - want).max() <= 1e-8 * np.abs(want).max()
 
 
 def test_el_field_matches_the_realified_solve_on_the_fd_oracle():
@@ -747,6 +820,16 @@ def test_el_field_degenerate_wherever_the_symplectic_matrix_is():
                 assert got == want, z
                 degenerate += want
     assert 0 < degenerate < 84
+
+
+def test_degeneracy_test_takes_huge_finite_forms():
+    # K(z, z) = e^686 puts both eigenvalues of Hm + Hm* near 1.6e298, where
+    # the bound 1e12 lambda_min overflowed (a RuntimeWarning, an error here)
+    space = make_space("klauder")
+    z = np.array([343.0, 0.0], dtype=complex)
+    A = symplectic_matrix(space, z)
+    assert np.isfinite(A).all() and abs(A[0, 1]) > 1e297
+    assert np.isfinite(hamiltonian_vector_field(space, _smooth_H, z)).all()
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3])
