@@ -260,6 +260,22 @@ class KlauderSpace(_VectorSpace):
         uY = Y[..., 0] + np.vecdot(zh, Yh)
         return np.multiply(self.kernel(z, z), np.vecdot(Xh, Yh) + np.multiply(np.conj(uX), uY))
 
+    # Over the chart basis the mixed form is Hm = K (P + a a*), with
+    # P = diag(0, 1, ..., 1), a = [1, zhat] and n = |zhat|^2.  Sherman-Morrison
+    # inverts it, (P + a a*)^{-1} = [[1 + n, -zhat*], [-zhat, I]], and its
+    # eigenvalues are 1 (dim - 1 times), mu and 1/mu, with
+    # mu = ((2 + n) + sqrt(n (n + 4))) / 2.
+    def mixed_solve(self, z, g):
+        zh = z[..., 1:]
+        n = np.vecdot(zh, zh).real
+        k = self.kernel(z, z).real
+        # the modes are ghat - zhat g0; the z0 slot is overwritten
+        x = g - np.multiply(z, g[..., :1])
+        x[..., 0] = np.multiply(1.0 + n, g[..., 0]) - np.vecdot(zh, g[..., 1:])
+        x /= k[..., None]
+        mu = 0.5 * ((2.0 + n) + np.sqrt(n * (n + 4.0)))
+        return x, 2.0 * k / mu, 2.0 * k * mu
+
 
 # ---------------------------------------------------------------------------
 # scalar-chart spaces

@@ -81,6 +81,7 @@ from .fock import (
     weyl_relation_residuals,
 )
 from .spectral import (
+    _alias_guard,
     oscillator_series,
     resolvent_element,
     resolvent_equation_residual,
@@ -587,6 +588,10 @@ def _run_spectrum(ctx):
     if eta <= 0:
         raise ConfigError("params.eta: must be positive")
     grid = np.arange(e_min, e_max + e_step * 0.5, e_step)
+    try:
+        _alias_guard(grid, dt, 1.0)
+    except DomainError as err:
+        raise ConfigError(f"params.dt: {err}") from None
     same_label = np.array_equal(z, zp)
     series = oscillator_series(gen, z, zp, t_max, dt)
     swapped = None if same_label else oscillator_series(gen, zp, z, t_max, dt)

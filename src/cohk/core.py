@@ -182,6 +182,14 @@ class CoherentSpace:
         like ``theta_form``."""
         raise NotImplementedError
 
+    def mixed_solve(self, z, g):
+        """Closed-form solve of the mixed matrix Hm[a, b] = L_{E_a} R_{E_b}
+        K(z, z) over the chart basis, when the space has one: returns
+        (Hm^{-1} g, lambda_min, lambda_max), with lambda_min and lambda_max
+        the extreme eigenvalues of Hm + Hm*.  Broadcasts over labels and
+        right-hand sides stacked along leading axes."""
+        raise NotImplementedError
+
     def has_closed_geometry(self, z):
         """Whether the closed forms hold at ``z``: one bool for every label,
         or a bool array of the stack shape of ``z``.  By default they hold

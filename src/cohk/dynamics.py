@@ -21,9 +21,13 @@ A spec's closed-form ``dH`` gives g directly.  Without one, g =
 (w[0::2] + i w[1::2]) / 2, where w is the central-difference gradient of H
 over the real coordinates [Re c0, Im c0, Re c1, ...] (_grad); that stencil
 is also the oracle the closed forms are tested against.  Each stage solves
-the equation from one eigh of Hm, which also decides degeneracy
-(_form_eigh): the form is degenerate unless every eigenvalue is finite and
-0 < lambda_min, 1e-12 lambda_max < lambda_min.
+the equation in closed form on klauder (``KlauderSpace.mixed_solve``, whose
+Hm = K (P + a a*) Sherman-Morrison inverts) and from one eigh of
+S = Hm + Hm* elsewhere (_form_eigh); the eigh path stays as the closed
+solve's oracle.  Both give the extreme eigenvalues of S to one degeneracy
+test (_nondegenerate): the form is degenerate unless lambda_min and
+lambda_max are finite and 0 < lambda_min, 1e-12 lambda_max < lambda_min.
+A form that overflows is thus degenerate, and its overflow does not warn.
 
 symplectic_matrix keeps the realified 2-form, the real antisymmetric
 matrix A[a, b] = 2 Im M(E_a, E_b); Poisson brackets are
@@ -43,7 +47,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .core import MAX_SIZE, DegenerateFormError, DomainError
+from .core import MAX_SIZE, CoherentSpace, DegenerateFormError, DomainError
 from .catalog import fd_LR, one_form_theta
 from .fock import _block_exp, gen_block
 
@@ -454,19 +458,45 @@ def _real_chart_error(space):
     return DegenerateFormError(f"coherent 2-form vanishes identically on {space.space_id}")
 
 
+def _nondegenerate(lam_min, lam_max):
+    """The one degeneracy test, on the extreme eigenvalues of S = Hm + Hm*
+    (see the module docstring)."""
+    return (math.isfinite(lam_min) and math.isfinite(lam_max)
+            and 0.0 < lam_min and lam_max * 1e-12 < lam_min)
+
+
+def _degenerate_error(z):
+    return DegenerateFormError(f"coherent 2-form degenerate at z = {z!r}")
+
+
 def _form_eigh(space, z):
     """Hm at z and eigh of S = Hm + Hm* (the FD oracle's Hm need not be
-    Hermitian, and eigh reads one triangle): the one degeneracy test, which
-    the module docstring states."""
+    Hermitian, and eigh reads one triangle), after the degeneracy test.  A
+    form that overflows is degenerate, so its overflow does not warn."""
     if not space.complex_chart:
         raise _real_chart_error(space)
-    Hm = _mixed_matrix(space, z)
-    S = Hm + Hm.conj().T
+    with np.errstate(over="ignore", invalid="ignore"):
+        Hm = _mixed_matrix(space, z)
+        S = Hm + Hm.conj().T
     if np.isfinite(S).all():
         lam, V = np.linalg.eigh(S)
-        if np.isfinite(lam).all() and 0.0 < lam[0] and lam[-1] * 1e-12 < lam[0]:
+        if _nondegenerate(lam[0], lam[-1]):
             return Hm, lam, V
-    raise DegenerateFormError(f"coherent 2-form degenerate at z = {z!r}")
+    raise _degenerate_error(z)
+
+
+def _mixed_solve(space, z, g):
+    """Hm^{-1} g at the label z, after the degeneracy test: from the
+    space's closed ``mixed_solve`` where it has one (klauder), else from one
+    eigh of S = Hm + Hm* (``_form_eigh``), as S^{-1} (2 g)."""
+    if type(space).mixed_solve is CoherentSpace.mixed_solve:
+        _, lam, V = _form_eigh(space, z)
+        return V @ ((V.conj().T @ (2.0 * g)) / lam)
+    with np.errstate(over="ignore", invalid="ignore"):
+        x, lam_min, lam_max = space.mixed_solve(z, g)
+    if _nondegenerate(lam_min, lam_max):
+        return x
+    raise _degenerate_error(z)
 
 
 def symplectic_matrix(space, z):
@@ -493,16 +523,15 @@ def _grad(space, f, z, h=None, stacked=False):
 def _el_velocity(space, H, z, hbar, h=None, stacked=False, dH=None):
     """Velocity of the Euler-Lagrange field at the label z, in label form:
     z' = -(i/hbar) Hm^{-1} g with g = dH(z) where ``dH`` is given, else
-    g = (w[0::2] + i w[1::2]) / 2 from the stencil gradient w of H; solved
-    as (Hm + Hm*)^{-1} (2 g) from one eigendecomposition that also decides
-    degeneracy (see the module docstring)."""
-    _, lam, V = _form_eigh(space, z)
+    g = (w[0::2] + i w[1::2]) / 2 from the stencil gradient w of H.  The
+    solve (``_mixed_solve``) is closed-form on klauder and one eigh
+    elsewhere; either makes the degeneracy test, after the gradient."""
     if dH is None:
         w = _grad(space, H, z, h, stacked)
-        g2 = w[0::2] + 1j * w[1::2]
+        g = 0.5 * (w[0::2] + 1j * w[1::2])
     else:
-        g2 = 2.0 * _wirtinger(dH, z)
-    v = (-1j / hbar) * (V @ ((V.conj().T @ g2) / lam))
+        g = _wirtinger(dH, z)
+    v = (-1j / hbar) * _mixed_solve(space, z, g)
     return complex(v[0]) if space.scalar_chart else v
 
 
@@ -533,8 +562,9 @@ def poisson_bracket(space, f, g, z, hbar=1.0, grad_h=None):
 
 def el_integrate(space, ham, z0, t_end, dt):
     """Integrate the coherent Euler-Lagrange equation i hbar Hm z' = dH/dconj(z)
-    with RK4, assembling Hm and the derivative (the spec's ``dH``, else the
-    stencil gradient of H) at every stage."""
+    with RK4, taking the derivative (the spec's ``dH``, else the stencil
+    gradient of H) and solving with Hm at every stage, in closed form on
+    klauder and from one eigh elsewhere."""
     if ham.H is None:
         raise DomainError("el_integrate needs a classical Hamiltonian")
     return propagate_ode(space, ham, z0, t_end, dt)

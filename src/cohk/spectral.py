@@ -169,12 +169,27 @@ def _uniform_fourier(x, t0, dt, E_grid, iota):
     return np.exp(iota * E * t0 + half_a * k2) * conv
 
 
+def _alias_guard(E_grid, dt, hbar):
+    """DomainError unless the energy grid spans less than the band
+    2 pi hbar / dt: a series sampled at step dt cannot tell a line at E
+    from its images at E + k 2 pi hbar / dt, so a wider grid would report
+    the images as lines."""
+    E = np.asarray(E_grid, dtype=float)
+    span = float(E.max() - E.min()) if E.size else 0.0
+    # compared as a product: dt <= 0 is left to the series' own check
+    if dt > 0 and span * dt >= 2.0 * math.pi * hbar:
+        raise DomainError(f"the energy grid spans {span:g}, which reaches the band "
+                          f"2 pi hbar/dt = {2.0 * math.pi * hbar / dt:g} of dt={dt:g}; "
+                          f"its lines would alias")
+
+
 def spectrum_scan(series, E_grid, swapped=None, floor=1e-4):
     """Locate spectral lines by a Hann-windowed scan of the autocorrelation.
 
     The grid must be uniform (the scan is one chirp-z transform; other
-    grids raise DomainError) and at least as fine as hbar pi/T in energy
-    (Rayleigh limit of the window, which doubles the raw resolution).  Peaks
+    grids raise DomainError), at least as fine as hbar pi/T in energy
+    (Rayleigh limit of the window, which doubles the raw resolution), and
+    span less than the band 2 pi hbar/dt (``_alias_guard``).  Peaks
     are refined twice by parabolic interpolation on 3-point grids and
     re-evaluated at the refined energy; the Hann coherent gain of 0.5 is
     divided out of the weight.
@@ -184,6 +199,7 @@ def spectrum_scan(series, E_grid, swapped=None, floor=1e-4):
         raise DomainError("energy grid too short")
     cell = float(E_grid[1] - E_grid[0])
     dt = series.dt
+    _alias_guard(E_grid, dt, series.hbar)
     T = dt * (len(series.values) - 1)
     res = math.pi * series.hbar  # times 1/T: the window resolution in energy
     if cell > res / T * (1.0 + 1e-9):
@@ -353,10 +369,12 @@ def rational_element(ham, z, zp, A_roots, B_coeffs, eta=0.05, spectrum=None, dt=
 
 def spectral_density(ham, z, zp, E_grid, eta, dt=1e-2):
     """-(1/pi) Im G(E + i eta) on a uniform energy grid, from one shared
-    series and one chirp-z transform; other grids raise DomainError."""
+    series and one chirp-z transform; other grids, and grids that reach
+    the band 2 pi hbar/dt (``_alias_guard``), raise DomainError."""
     if eta <= 0:
         raise DomainError("eta must be positive")
     hbar = ham.hbar
+    _alias_guard(E_grid, dt, hbar)
     t_max = _auto_t_max(eta, hbar, dt, "eta")
     pts = _series_points(ham.gen, zp, t_max, dt, hbar)
     t = dt * np.arange(len(pts))

@@ -390,6 +390,19 @@ def test_spectrum_writes_line_and_density_csv(tmp_path):
     assert len(dens) == 77  # header + the 76-point grid
 
 
+def test_spectrum_rejects_a_grid_that_aliases_before_building_a_series(tmp_path, capsys,
+                                                                         monkeypatch):
+    # at dt 0.5 the band 2 pi / dt is 12.57, so a grid from -0.5 to 15 would
+    # read images of lines as lines; the config is rejected before any series
+    built = []
+    monkeypatch.setattr(cohk.cli, "oscillator_series", lambda *args: built.append(args))
+    cfg = _base("spectrum", params={"dt": 0.5, "E_min": -0.5, "E_max": 15.0})
+    code = main(["run", _write_config(tmp_path, cfg), "--out", str(tmp_path / "out")])
+    assert code == 2 and built == []
+    assert "config error: params.dt: the energy grid spans 15.5" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_trajectory_csv_shape(tmp_path):
     cfg = _base("dynamics", params={"t_end": 0.5, "dt": 0.05})
     run_config(_write_config(tmp_path, cfg), out_flag=str(tmp_path / "out"))

@@ -2,17 +2,19 @@
 
 import math
 import re
+from functools import partial
 
 import numpy as np
 import pytest
 
 from cohk.core import DegenerateFormError, DomainError
-from cohk.catalog import fd_LR, make_space, space_names
+from cohk.catalog import KlauderSpace, fd_LR, make_space, space_names
 from cohk.cli import _quadratic_energy, _quadratic_energy_dH
 from cohk.dynamics import (
     HamiltonianSpec,
     Trajectory,
     _flow_points,
+    _form_eigh,
     _grad,
     _mixed_matrix,
     autocorrelation,
@@ -800,7 +802,6 @@ def _raises_degenerate(fn, *args):
     return False
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_el_field_degenerate_wherever_the_symplectic_matrix_is():
     for name in ("euclidean", "reciprocal"):
         space = make_space(name)
@@ -843,3 +844,100 @@ def test_klauder_mixed_matrix_is_the_stacked_basis(dim):
             for b in range(dim + 1):
                 assert Hm[a, b] == space.mixed_form(z, E[a], E[b])  # bit for bit
                 assert abs(Hm[a, b] - fd_LR(space, z, E[a], E[b])) <= 1e-7 * k
+
+
+# ---------------------------------------------------------------------------
+# the closed klauder solve against its eigh oracle
+
+_EPS = np.finfo(float).eps
+
+
+def _eigh_solve(space, z, g):
+    """Hm^{-1} g from one eigh of S = Hm + Hm*: the path every other space
+    takes, and the closed solve's oracle."""
+    _, lam, V = _form_eigh(space, z)
+    return V @ ((V.conj().T @ (2.0 * g)) / lam)
+
+
+def _label_with_n(dim, n):
+    """A klauder label with |zhat|^2 = n and K(z, z) = e^0.2: cond(S) = mu^2
+    grows like n^2 while the kernel stays near 1."""
+    return np.array([0.1 - n / 2.0] + [math.sqrt(n / dim)] * dim, dtype=complex)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_klauder_mixed_solve_matches_the_eigh_oracle(dim):
+    # to 1e-13 on sampled labels; at |zhat| = 1e2 and 3e2 (cond(S) 1e8 and
+    # 8e9) the oracle's own error grows like eps cond(S), so the bound does
+    # too; the residual against the closed Hm holds at every condition.
+    # |zhat| = 1e3 sits on the 1e12 cut (mu^2 = 1e12 + 4e6), closer to it
+    # than eigh's error, so the degeneracy test below brackets it instead.
+    space = make_space("klauder", dim=dim)
+    rng = np.random.default_rng(SEED)
+    labels = list(space.sample_points(rng, 50)) + [_label_with_n(dim, n) for n in (1e4, 9e4)]
+    for z in labels:
+        g = space.sample_tangent(z, rng)
+        x, lam_min, lam_max = space.mixed_solve(z, g)
+        Hm = _mixed_matrix(space, z)
+        ev = np.linalg.eigvalsh(Hm + Hm.conj().T)
+        tol = 1e-13 + 2.0 * _EPS * ev[-1] / ev[0]
+        want = _eigh_solve(space, z, g)
+        assert np.abs(x - want).max() <= tol * np.abs(want).max(), z
+        assert abs(lam_max - ev[-1]) <= 1e-13 * ev[-1]
+        assert abs(lam_min - ev[0]) <= tol * ev[0]
+        assert np.abs(Hm @ x - g).max() <= 8.0 * _EPS * np.abs(Hm).max() * np.abs(x).max()
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_klauder_mixed_solve_stack_is_bitwise_the_per_label_solve(dim):
+    space = make_space("klauder", dim=dim)
+    rng = np.random.default_rng(SEED)
+    Z = space.sample_points(rng, 50)
+    G = space.sample_tangent(Z, rng)
+    X, lam_min, lam_max = space.mixed_solve(Z, G)
+    assert X.shape == Z.shape and lam_min.shape == lam_max.shape == (50,)
+    for z, g, x, lo, hi in zip(Z, G, X, lam_min, lam_max):
+        one = space.mixed_solve(z, g)
+        assert np.array_equal(one[0], x) and one[1] == lo and one[2] == hi
+    # any stack shape, and one right-hand side broadcast against the labels
+    deep = space.mixed_solve(Z.reshape(5, 10, -1), G.reshape(5, 10, -1))[0]
+    assert np.array_equal(deep.reshape(Z.shape), X)
+    shared = space.mixed_solve(Z, G[0])[0]
+    for z, x in zip(Z, shared):
+        assert np.array_equal(space.mixed_solve(z, G[0])[0], x)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_klauder_closed_degeneracy_agrees_with_the_symplectic_matrix(dim):
+    # n = 5e5 and 2e6 put mu^2 = cond(S) at 2.5e11 and 4e12, on both sides
+    # of the 1e12 cut; at zhat = 0, Re z0 = 354.5 leaves 2 K(z, z) = 1.6e308
+    # finite and 354.7 overflows it.  The suite errors on RuntimeWarning, so
+    # neither path may warn on its way to the error.
+    space = make_space("klauder", dim=dim)
+    edge = [np.array([z0] + [0.0] * dim, dtype=complex) for z0 in (354.5, 354.7)]
+    cases = [(_label_with_n(dim, 5e5), False), (_label_with_n(dim, 2e6), True),
+             (edge[0], False), (edge[1], True)]
+    for z, degenerate in cases:
+        assert _raises_degenerate(symplectic_matrix, space, z) == degenerate, z
+        for dH in (_smooth_dH, None):
+            field = partial(hamiltonian_vector_field, dH=dH)
+            assert _raises_degenerate(field, space, _smooth_H, z) == degenerate, z
+
+
+def test_klauder_el_stage_calls_neither_mixed_form_nor_eigh(monkeypatch):
+    def called(*args, **kwargs):
+        raise AssertionError("the klauder EL stage left its closed solve")
+
+    monkeypatch.setattr(np.linalg, "eigh", called)
+    monkeypatch.setattr(KlauderSpace, "mixed_form", called)
+    rng = np.random.default_rng(SEED)
+    for dim in (1, 2, 3):
+        space = make_space("klauder", dim=dim)
+        z0 = space.sample_point(rng)
+        H = _quadratic_energy(space)
+        for dH in (_quadratic_energy_dH(space), None):
+            traj = el_integrate(space, HamiltonianSpec(H=H, dH=dH, stacked=True), z0, 0.05, 1e-2)
+            assert len(traj) == 6 and not traj.meta["aborted"]
+        # the oracle path still goes through both
+        with pytest.raises(AssertionError, match="left its closed solve"):
+            symplectic_matrix(space, z0)

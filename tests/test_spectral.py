@@ -155,6 +155,27 @@ def test_scan_rejects_coarse_grids(harmonic_series):
         spectrum_scan(harmonic_series, np.arange(-0.5, 4.5, 0.05))
 
 
+def test_scan_and_density_reject_grids_that_reach_the_alias_band():
+    # sampled at dt 0.5, a line at E has images at E + k 2 pi / 0.5; a grid
+    # from -0.5 to 15 spans more than that band of 12.57 and read the images
+    # of N = 0, 1, 2 at 12.57, 13.57 and 14.57 as lines
+    ham = HamiltonianSpec(gen=_number_op())
+    series = oscillator_series(ham.gen, Z0, Z0, 40.0 * math.pi, 0.5)
+    wide = np.arange(-0.5, 15.0, 0.01)
+    with pytest.raises(DomainError, match=r"reaches the band 2 pi hbar/dt = 12\.5664"):
+        spectrum_scan(series, wide)
+    with pytest.raises(DomainError, match="reaches the band"):
+        spectral_density(ham, Z0, Z0, wide, 0.05, dt=0.5)
+    # a grid inside the band finds the lines above the floor, N = 0..7, and no image
+    lines = spectrum_scan(series, np.arange(-0.5, 12.0, 0.01))
+    assert [l.energy for l in lines] == pytest.approx(list(range(8)), abs=1e-4)
+    # at hbar = 2 the band is 25.13, so the wide grid is accepted
+    doubled = oscillator_series(ham.gen, Z0, Z0, 40.0 * math.pi, 0.5, hbar=2.0)
+    assert spectrum_scan(doubled, wide)
+    dens = spectral_density(HamiltonianSpec(gen=_number_op(), hbar=2.0), Z0, Z0, wide, 0.05, dt=0.5)
+    assert dens.shape == wide.shape
+
+
 def test_scan_constant_series_is_a_single_zero_line():
     ser = oscillator_series(_zero_op(), Z0, Z0, 200.0, 0.05)
     lines = spectrum_scan(ser, np.arange(-1.0, 1.0, 0.01))
