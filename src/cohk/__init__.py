@@ -12,174 +12,20 @@ organized as:
 - :mod:`cohk.dynamics` coherent flows, ODE propagation, Poisson brackets
 - :mod:`cohk.spectral` autocorrelation series, spectra, resolvents
 - :mod:`cohk.cli` the ``cohk`` command-line runner
+
+The package re-exports every public name of the six library modules, as
+each module's own ``__all__`` lists them.
 """
 
-from .core import (
-    DEFAULT_SEED,
-    AxiomViolationError,
-    CoherentSpace,
-    DegenerateFormError,
-    DomainError,
-    PsdReport,
-    angle,
-    cauchy_schwarz_margin,
-    distance,
-    gram,
-    kernel_eval,
-    length,
-    potential,
-    psd_check,
-)
-from .catalog import geometry_report, make_space, space_names
-from .quantum import (
-    CoherentMapSpec,
-    KernelOperator,
-    OrthoBasis,
-    QVec,
-    adjoint_residual,
-    coherent_state,
-    gamma_apply,
-    inner,
-    norm,
-    orthonormal_basis,
-    sandwich,
-)
-from .fock import (
-    CcrReport,
-    OscElement,
-    OscGenerator,
-    WeylReport,
-    annihilation_element,
-    ccr_epsilon_check,
-    creation_element,
-    dgamma_element,
-    gamma_colon_residual,
-    gamma_element,
-    gen_block,
-    klauder_kernel,
-    normal_ordered_element,
-    normal_ordered_series,
-    osc_act,
-    osc_adjoint,
-    osc_block,
-    osc_bracket,
-    osc_exp,
-    osc_from_block,
-    osc_identity,
-    osc_mul,
-    segal_field_element,
-    weyl_element,
-    weyl_ordered_element,
-    weyl_relation_residuals,
-)
-from .dynamics import (
-    AutocorrSeries,
-    HamiltonianSpec,
-    Trajectory,
-    autocorrelation,
-    df_action,
-    el_integrate,
-    flow_exact,
-    hamiltonian_vector_field,
-    oscillator_field,
-    poisson_bracket,
-    propagate_ode,
-    symplectic_matrix,
-)
-from .spectral import (
-    SpectralLine,
-    eigencomponent_overlap,
-    kt_roundtrip_residual,
-    oscillator_series,
-    rational_element,
-    resolvent_element,
-    resolvent_equation_residual,
-    resolvent_symmetry_residual,
-    schwinger_dyson_residual,
-    spectral_density,
-    spectrum_scan,
-    time_average_overlap,
-)
+from . import core, catalog, quantum, fock, dynamics, spectral
+from .core import *
+from .catalog import *
+from .quantum import *
+from .fock import *
+from .dynamics import *
+from .spectral import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "DEFAULT_SEED",
-    "AutocorrSeries",
-    "AxiomViolationError",
-    "CcrReport",
-    "CoherentMapSpec",
-    "CoherentSpace",
-    "DegenerateFormError",
-    "DomainError",
-    "HamiltonianSpec",
-    "KernelOperator",
-    "OrthoBasis",
-    "OscElement",
-    "OscGenerator",
-    "PsdReport",
-    "QVec",
-    "SpectralLine",
-    "Trajectory",
-    "WeylReport",
-    "adjoint_residual",
-    "angle",
-    "annihilation_element",
-    "autocorrelation",
-    "cauchy_schwarz_margin",
-    "ccr_epsilon_check",
-    "coherent_state",
-    "creation_element",
-    "df_action",
-    "dgamma_element",
-    "distance",
-    "eigencomponent_overlap",
-    "el_integrate",
-    "flow_exact",
-    "gamma_apply",
-    "gamma_colon_residual",
-    "gamma_element",
-    "gen_block",
-    "geometry_report",
-    "gram",
-    "hamiltonian_vector_field",
-    "inner",
-    "kernel_eval",
-    "klauder_kernel",
-    "kt_roundtrip_residual",
-    "length",
-    "make_space",
-    "norm",
-    "normal_ordered_element",
-    "normal_ordered_series",
-    "orthonormal_basis",
-    "osc_act",
-    "osc_adjoint",
-    "osc_block",
-    "osc_bracket",
-    "osc_exp",
-    "osc_from_block",
-    "osc_identity",
-    "osc_mul",
-    "oscillator_field",
-    "oscillator_series",
-    "poisson_bracket",
-    "potential",
-    "propagate_ode",
-    "psd_check",
-    "rational_element",
-    "resolvent_element",
-    "resolvent_equation_residual",
-    "resolvent_symmetry_residual",
-    "sandwich",
-    "schwinger_dyson_residual",
-    "segal_field_element",
-    "space_names",
-    "spectral_density",
-    "spectrum_scan",
-    "time_average_overlap",
-    "weyl_element",
-    "weyl_ordered_element",
-    "weyl_relation_residuals",
-    "__version__",
-]
+__all__ = [name for module in (core, catalog, quantum, fock, dynamics, spectral)
+           for name in module.__all__] + ["__version__"]

@@ -67,6 +67,7 @@ from .core import (
 )
 from .dynamics import (
     HamiltonianSpec,
+    Trajectory,
     _flow_points,
     autocorrelation,
     df_action,
@@ -194,20 +195,20 @@ def _parse_point(space, v, path):
         raise ConfigError(f"{path}: {err}") from None
 
 
-def _parse_generator(gd, omega, dim, path="params"):
+def _parse_generator(gd, omega, dim):
     """params.gen as {rho, p, q, X}, or a harmonic generator from omega0."""
     if gd is None:
         return OscGenerator(0.0, np.zeros(dim), np.zeros(dim), omega * np.eye(dim))
     if not isinstance(gd, dict):
-        raise ConfigError(f"{path}.gen: expected an object with rho/p/q/X")
+        raise ConfigError("params.gen: expected an object with rho/p/q/X")
     for key in gd:
         if key not in ("rho", "p", "q", "X"):
-            raise ConfigError(f"{path}.gen.{key}: unknown generator key")
-    rho = _as_complex(gd.get("rho", 0.0), f"{path}.gen.rho")
-    p = _as_complex_vector(gd.get("p", [0.0] * dim), f"{path}.gen.p", dim)
-    q = _as_complex_vector(gd.get("q", [0.0] * dim), f"{path}.gen.q", dim)
+            raise ConfigError(f"params.gen.{key}: unknown generator key")
+    rho = _as_complex(gd.get("rho", 0.0), "params.gen.rho")
+    p = _as_complex_vector(gd.get("p", [0.0] * dim), "params.gen.p", dim)
+    q = _as_complex_vector(gd.get("q", [0.0] * dim), "params.gen.q", dim)
     if "X" in gd:
-        X = _as_complex_matrix(gd["X"], f"{path}.gen.X", dim)
+        X = _as_complex_matrix(gd["X"], "params.gen.X", dim)
     else:
         X = np.eye(dim, dtype=complex)
     return OscGenerator(rho, p, q, X)
@@ -255,16 +256,9 @@ class RunReport:
 
     def to_json(self):
         """Report file payload; wall time stays out so reruns are identical."""
-        return {
-            "experiment": self.experiment,
-            "space": self.space,
-            "seed": self.seed,
-            "library_version": self.library_version,
-            "params": self.params,
-            "checks": [asdict(c) for c in self.checks],
-            "passed": self.passed,
-            "data_files": self.data_files,
-        }
+        payload = asdict(self)
+        del payload["wall_time_s"]
+        return payload
 
 
 def _fmt(v):
@@ -687,8 +681,6 @@ def _run_df_propagate(ctx):
                   float(np.max(np.abs(np.abs(got[1:]) - np.abs(want[1:])))), 1e-6),
     ]
     if p["stationarity"]:
-        from .dynamics import Trajectory
-
         base = _whole(el_integrate(ctx.space, ham, z0, 1.0, 5e-3))
         s0 = df_action(base, ham, ctx.space)
         n = len(base.points)

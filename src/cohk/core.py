@@ -136,6 +136,12 @@ class CoherentSpace:
         """
         return np.asarray([self.validate(z) for z in points])
 
+    def _outside(self, Z):
+        """True where a finite label of the stack ``Z`` lies outside the
+        domain, one bool per label.  This is the per-label ``contains``;
+        catalog spaces override it with one broadcasting region check."""
+        return np.array([not self.contains(z) for z in Z], dtype=bool)
+
     def chart_path(self, z, X, t):
         """Point at parameter ``t`` on the chart line through ``z`` along ``X``.
 

@@ -27,7 +27,9 @@ S = Hm + Hm* elsewhere (_form_eigh); the eigh path stays as the closed
 solve's oracle.  Both give the extreme eigenvalues of S to one degeneracy
 test (_nondegenerate): the form is degenerate unless lambda_min and
 lambda_max are finite and 0 < lambda_min, 1e-12 lambda_max < lambda_min.
-A form that overflows is thus degenerate, and its overflow does not warn.
+A form that overflows is thus degenerate, and its overflow does not warn:
+propagate_ode's loop, hamiltonian_vector_field and symplectic_matrix each
+enter numpy's error state once, around all the stages they run.
 
 symplectic_matrix keeps the realified 2-form, the real antisymmetric
 matrix A[a, b] = 2 Im M(E_a, E_b); Poisson brackets are
@@ -383,9 +385,9 @@ def propagate_ode(space, ham, z0, t_end, dt):
     points = np.empty((n_steps + 1,) + np.shape(z0), dtype=np.asarray(z0).dtype)
     points[0] = z0
     # every step's label is validated, and every Euler-Lagrange stage tests
-    # its form for finiteness, so an overflow ends the run as an abort, not
-    # as a warning
-    with np.errstate(over="ignore"):
+    # its form for finiteness, so an overflow or a NaN ends the run as an
+    # abort, not as a warning; the stages enter no error state of their own
+    with np.errstate(over="ignore", invalid="ignore"):
         for i in range(n_steps):
             try:
                 y = _rk4_step(f, i * dt, y, dt)
@@ -471,13 +473,11 @@ def _degenerate_error(z):
 
 def _form_eigh(space, z):
     """Hm at z and eigh of S = Hm + Hm* (the FD oracle's Hm need not be
-    Hermitian, and eigh reads one triangle), after the degeneracy test.  A
-    form that overflows is degenerate, so its overflow does not warn."""
+    Hermitian, and eigh reads one triangle), after the degeneracy test."""
     if not space.complex_chart:
         raise _real_chart_error(space)
-    with np.errstate(over="ignore", invalid="ignore"):
-        Hm = _mixed_matrix(space, z)
-        S = Hm + Hm.conj().T
+    Hm = _mixed_matrix(space, z)
+    S = Hm + Hm.conj().T
     if np.isfinite(S).all():
         lam, V = np.linalg.eigh(S)
         if _nondegenerate(lam[0], lam[-1]):
@@ -492,8 +492,7 @@ def _mixed_solve(space, z, g):
     if type(space).mixed_solve is CoherentSpace.mixed_solve:
         _, lam, V = _form_eigh(space, z)
         return V @ ((V.conj().T @ (2.0 * g)) / lam)
-    with np.errstate(over="ignore", invalid="ignore"):
-        x, lam_min, lam_max = space.mixed_solve(z, g)
+    x, lam_min, lam_max = space.mixed_solve(z, g)
     if _nondegenerate(lam_min, lam_max):
         return x
     raise _degenerate_error(z)
@@ -502,7 +501,9 @@ def _mixed_solve(space, z, g):
 def symplectic_matrix(space, z):
     """Real antisymmetric matrix of the coherent 2-form in realified
     coordinates; raises DegenerateFormError when numerically singular."""
-    H = _form_eigh(space, space.validate(z))[0]
+    z = space.validate(z)
+    with np.errstate(over="ignore", invalid="ignore"):
+        H = _form_eigh(space, z)[0]
     D, Dh = _realifier(space.coord_len)
     return 2.0 * np.imag(Dh @ H @ D)
 
@@ -539,7 +540,9 @@ def hamiltonian_vector_field(space, H, z, hbar=1.0, grad_h=None, dH=None):
     """Euler-Lagrange field z' = -(i/hbar) Hm^{-1} dH/dconj(z) at z, as a
     tangent in label form; the derivative is ``dH(z)`` where given, else
     the stencil gradient of H with step ``grad_h``."""
-    return _el_velocity(space, H, space.validate(z), hbar, grad_h, dH=dH)
+    z = space.validate(z)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _el_velocity(space, H, z, hbar, grad_h, dH=dH)
 
 
 def poisson_bracket(space, f, g, z, hbar=1.0, grad_h=None):

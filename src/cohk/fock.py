@@ -127,7 +127,7 @@ class OscGenerator:
     n = OscElement.n
 
     def adjoint(self):
-        return OscGenerator(np.conj(self.rho), self.q, self.p, self.X.conj().T)
+        return osc_adjoint(self)
 
 
 def osc_identity(n):
@@ -162,8 +162,9 @@ def osc_act(A, z):
 
 
 def osc_adjoint(A):
-    """A* = [conj(rho), q, p, X*]; satisfies K(z, Az') = K(A*z, z')."""
-    return OscElement(np.conj(A.rho), A.q, A.p, A.X.conj().T)
+    """A* = [conj(rho), q, p, X*], of A's own type (element or generator);
+    an element's satisfies K(z, Az') = K(A*z, z')."""
+    return type(A)(np.conj(A.rho), A.q, A.p, A.X.conj().T)
 
 
 def osc_bracket(g1, g2):
@@ -178,15 +179,10 @@ def osc_bracket(g1, g2):
 
 
 def osc_block(A):
-    """(n+2) x (n+2) upper-triangular block matrix of an element."""
-    n = A.n
-    M = np.zeros((n + 2, n + 2), dtype=complex)
-    M[0, 0] = 1.0
-    M[0, 1:n + 1] = np.conj(A.p)
-    M[0, n + 1] = A.rho
-    M[1:n + 1, 1:n + 1] = A.X
-    M[1:n + 1, n + 1] = A.q
-    M[n + 1, n + 1] = 1.0
+    """(n+2) x (n+2) upper-triangular block matrix of an element: its
+    ``gen_block`` layout with the two corner 1s."""
+    M = gen_block(A)
+    M[0, 0] = M[-1, -1] = 1.0
     return M
 
 

@@ -7,7 +7,7 @@ from functools import partial
 import numpy as np
 import pytest
 
-from cohk.core import DegenerateFormError, DomainError
+from cohk.core import CoherentSpace, DegenerateFormError, DomainError
 from cohk.catalog import KlauderSpace, fd_LR, make_space, space_names
 from cohk.cli import _quadratic_energy, _quadratic_energy_dH
 from cohk.dynamics import (
@@ -715,6 +715,59 @@ def test_oscillator_spec_needs_complex_label_vectors(name):
     z0 = space.sample_point(np.random.default_rng(SEED))
     with pytest.raises(DomainError, match="complex label vectors"):
         propagate_ode(space, _harmonic_ham(), z0, 1.0, 0.01)
+
+
+class _UserKlauder(CoherentSpace):
+    """klauder(1) written as a user would: the base class's per-label
+    ``stack`` and domain check, none of the catalog's broadcasting."""
+
+    space_id = "user-klauder"
+    coord_len = 2
+
+    def kernel(self, z, zp):
+        return klauder_kernel(z, zp)
+
+    def validate(self, z):
+        z = np.asarray(z, dtype=complex)
+        if z.shape != (2,):
+            raise DomainError("expected a complex vector of length 2")
+        if not np.isfinite(z).all():
+            raise DomainError("non-finite coordinates")
+        return z
+
+
+class _UserStrip(_UserKlauder):
+    """The user klauder cut to the strip |Im z1| <= 0.5."""
+
+    def validate(self, z):
+        z = super().validate(z)
+        if abs(z[1].imag) > 0.5:
+            raise DomainError("strip labels keep |Im z1| <= 0.5")
+        return z
+
+
+@pytest.mark.parametrize("ham, t_end, dt", [
+    (_harmonic_ham(), 1.0, 0.1),
+    (HamiltonianSpec(gen=_DRIVE), 2.0, 1e-3),
+    (_overflowing_ham(), 4.0, 1.0 / 64),
+], ids=["number", "self-adjoint-drive", "overflow"])
+def test_oscillator_trajectory_on_a_user_space_is_the_catalogs(ham, t_end, dt):
+    want = propagate_ode(make_space("klauder"), ham, Z0, t_end, dt)
+    got = propagate_ode(_UserKlauder(), ham, Z0, t_end, dt)
+    assert want.meta["aborted"] == (ham.gen.X[0, 0] == 512j)
+    assert got.points.tobytes() == want.points.tobytes()
+    assert np.array_equal(got.times, want.times) and got.meta == want.meta
+
+
+def test_oscillator_trajectory_stops_where_a_user_space_rejects_a_label():
+    # z1(t) = e^{-it}: |Im z1| = sin t passes 0.5 between t = 0.5 and 0.6
+    z0 = np.array([0.0, 1.0], dtype=complex)
+    want = propagate_ode(make_space("klauder"), _harmonic_ham(), z0, 1.0, 0.1)
+    traj = propagate_ode(_UserStrip(), _harmonic_ham(), z0, 1.0, 0.1)
+    assert len(want) == 11 and len(traj) == 6
+    assert traj.meta["aborted"] and traj.meta["reason"] == "strip labels keep |Im z1| <= 0.5"
+    assert traj.points.tobytes() == want.points[:6].tobytes()
+    assert traj.points.flags.owndata
 
 
 @pytest.mark.parametrize("n", [1, 2])
