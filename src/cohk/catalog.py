@@ -30,8 +30,9 @@ step 1e-5 * max(1, |z|); the mixed second difference steps
 1e-3 * max(1, |z|), because its roundoff grows like 1/h^2 rather than 1/h.
 
 The geometry (theta, metric, two-form, WTG jets and geometry reports)
-takes one case or a stack of them and uses the closed forms where the
-space has them, the FD oracle on the other cases.
+takes one case, or labels and tangents whose stacks broadcast against each
+other, and uses the closed forms where the space has them, the FD oracle
+on the other cases.
 
 One registry maps each kind to its class, its descriptor keys with their
 defaults, and its presets; ``make_space``, the only reader of a space
@@ -675,12 +676,10 @@ def fd_R(space, f, z, zp, X, h=None):
 def fd_L(space, f, z, zp, X, h=None):
     """Central-difference L_X f(z, z') along the chart path through z.
 
-    Same steps and broadcasting contract as fd_R, on stacked left labels.
+    fd_R with the slots swapped: the same stencil, steps and broadcasting
+    contract, on stacked left labels.
     """
-    if h is None:
-        h = 1e-5 * _point_scale(space, z)
-    hX = _times(space, h, X)
-    return _first_difference(lambda s: f(space.chart_path(z, hX, s), zp), h)
+    return fd_R(space, lambda a, b: f(b, a), zp, z, X, h)
 
 
 def fd_LR(space, z, X, Y, f=None, h=None):
@@ -713,20 +712,22 @@ def _fd_theta(space, z, X):
 # geometry: theta, metric, two-form
 #
 # Each function takes one case or a stack of cases, z and the tangents
-# stacked alike, and returns values of the stack shape.
+# broadcast against each other along their stack axes, and returns values
+# of the broadcast stack shape.
 
 
 def _closed_or_fd(space, closed, fd, z, *tangents):
     """closed(z, *tangents) on the cases where the space has closed
     geometry and fd(z, *tangents) on the others, each run only on its own
-    cases."""
+    cases, as one flat stack of them."""
     args = [np.asarray(a) for a in (z, *tangents)]
-    shape = args[0].shape if space.scalar_chart else args[0].shape[:-1]
+    tail = () if space.scalar_chart else args[0].shape[-1:]
+    shape = np.broadcast_shapes(*(a.shape[:a.ndim - len(tail)] for a in args))
     ok = np.broadcast_to(space.has_closed_geometry(z), shape)
     out = np.empty(shape, dtype=complex)
     for cases, form in ((ok, closed), (~ok, fd)):
         if cases.any():
-            out[cases] = form(*(a[cases] for a in args))
+            out[cases] = form(*(np.broadcast_to(a, shape + tail)[cases] for a in args))
     return out[()]
 
 
@@ -757,8 +758,9 @@ def two_form_omega(space, z, X, Y):
 @dataclass
 class GeometryReport:
     """Closed-form vs finite-difference cross-validation at one sample or a
-    stack of them.  Values have the stack shape; provenance is "closed" or
-    "fd" when every case has it, "mixed" otherwise."""
+    stack of them.  Values have the broadcast stack shape of z, X and Y
+    (theta's of z and X alone); provenance is "closed" or "fd" when every
+    label has it, "mixed" otherwise."""
 
     g_closed: complex
     g_fd: complex
@@ -797,7 +799,8 @@ def wtg_matrix(space, z, X):
     why), FD otherwise.  A stack of cases gives a stack of matrices.
     """
     th = one_form_theta(space, z, X)
-    return np.stack([np.stack([space.kernel(z, z), th], -1),
+    k = np.broadcast_to(space.kernel(z, z), np.shape(th))
+    return np.stack([np.stack([k, th], -1),
                      np.stack([np.conj(th), _mixed(space, z, X, X)], -1)], -2)
 
 

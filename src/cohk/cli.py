@@ -269,40 +269,20 @@ def _fmt(v):
     return f"{float(v):.17g}"
 
 
-# %-conversions that give _fmt's text, by exact value type
-_CONVERSION = {float: "%.17g", np.float64: "%.17g", int: "%d", np.int64: "%d"}
-
-
-def _float_rows(a):
-    """The rows of a 2-D array as lists of Python floats, converted 512 rows
-    at a time, so a long table never becomes one list of Python floats."""
-    for i in range(0, len(a), 512):
-        yield from a[i:i + 512].tolist()
-
-
 def _write_csv(outdir, name, header, rows):
-    """Write rows under header.  Rows of the same value types share one
-    %-template, which gives _fmt's text in one call; a row holding any
-    other type (bool, str, ...) goes through _fmt value by value.  An array
-    is written through _float_rows: Python floats format fastest."""
-    if isinstance(rows, np.ndarray):
-        rows = _float_rows(rows)
-    templates = {}
+    """Write rows under header.  An array (a float table) is written with
+    one %.17g template, which gives _fmt's text, 512 rows at a time as
+    Python floats, which format fastest; rows given as lists go through
+    _fmt value by value."""
     with open(os.path.join(outdir, name), "w", newline="") as fh:
         fh.write(",".join(header) + "\n")
-        for row in rows:
-            # from a list, the tuple is allocated at its final size; a
-            # tuple(map(...)) is shrunk after filling, so each row would
-            # leave one more block in CPython's tuple free list, which
-            # keeps up to 2000 per size resident for the whole process
-            types = tuple([type(v) for v in row])
-            template = templates.get(types)
-            if template is None:
-                conv = [_CONVERSION.get(t) for t in types]
-                template = templates[types] = "" if None in conv else ",".join(conv) + "\n"
-            if template:
-                fh.write(template % tuple(row))
-            else:
+        if isinstance(rows, np.ndarray):
+            line = ",".join(["%.17g"] * rows.shape[1]) + "\n"
+            for i in range(0, len(rows), 512):
+                block = rows[i:i + 512]
+                fh.write((line * len(block)) % tuple(block.ravel().tolist()))
+        else:
+            for row in rows:
                 fh.write(",".join(map(_fmt, row)) + "\n")
 
 

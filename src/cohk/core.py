@@ -233,6 +233,8 @@ def kernel_eval(space, z, zp):
 def gram(space, points):
     """Gram matrix G[j, k] = K(points[j], points[k]) as a complex array."""
     pts = space.stack(points)
+    if not len(pts):
+        raise DomainError("points: a Gram matrix needs at least one point")
     with np.errstate(over="ignore", invalid="ignore"):
         g = np.asarray(space.kernel(pts[:, None], pts[None]), dtype=complex)
     if not np.all(np.isfinite(g)):
@@ -268,6 +270,8 @@ def psd_check(g, tol_rel=1e-10, tol_abs=1e-12):
     g = np.asarray(g, dtype=complex)
     if g.ndim < 2 or g.shape[-1] != g.shape[-2]:
         raise DomainError("gram matrix must be square")
+    if not g.shape[-1]:
+        raise DomainError("gram matrix is empty (0 x 0)")
     gh = np.conj(np.swapaxes(g, -1, -2))
     herm_defect = np.max(np.abs(g - gh), axis=(-2, -1))
     eigs = np.linalg.eigvalsh((g + gh) / 2.0)

@@ -50,7 +50,7 @@ from functools import lru_cache
 import numpy as np
 
 from .core import MAX_SIZE, CoherentSpace, DegenerateFormError, DomainError
-from .catalog import fd_LR, one_form_theta
+from .catalog import _mixed, one_form_theta
 from .fock import _block_exp, gen_block
 
 __all__ = [
@@ -447,13 +447,10 @@ def _basis_pairs(m, scalar):
 
 
 def _mixed_matrix(space, z):
-    """Hm[a, b] = L_{E_a} R_{E_b} K(z, z) over the chart basis E: one
-    mixed_form call on the stacked basis pairs, or one stacked fd_LR call
-    where the space has no closed geometry at z."""
-    X, Y = _basis_pairs(space.coord_len, space.scalar_chart)
-    if space.has_closed_geometry(z):
-        return space.mixed_form(z, X, Y)
-    return fd_LR(space, z, X, Y)
+    """Hm[a, b] = L_{E_a} R_{E_b} K(z, z) over the chart basis E: the
+    catalog's closed-or-FD mixed form on the stacked basis pairs.  Labels
+    stacked as (k, 1, 1, m) (scalar charts (k, 1, 1)) give k matrices."""
+    return _mixed(space, z, *_basis_pairs(space.coord_len, space.scalar_chart))
 
 
 def _real_chart_error(space):
@@ -521,14 +518,14 @@ def _grad(space, f, z, h=None, stacked=False):
     return (vals[:n] - vals[n:]) / (2.0 * h)
 
 
-def _el_velocity(space, H, z, hbar, h=None, stacked=False, dH=None):
+def _el_velocity(space, H, z, hbar, stacked=False, dH=None):
     """Velocity of the Euler-Lagrange field at the label z, in label form:
     z' = -(i/hbar) Hm^{-1} g with g = dH(z) where ``dH`` is given, else
     g = (w[0::2] + i w[1::2]) / 2 from the stencil gradient w of H.  The
     solve (``_mixed_solve``) is closed-form on klauder and one eigh
     elsewhere; either makes the degeneracy test, after the gradient."""
     if dH is None:
-        w = _grad(space, H, z, h, stacked)
+        w = _grad(space, H, z, stacked=stacked)
         g = 0.5 * (w[0::2] + 1j * w[1::2])
     else:
         g = _wirtinger(dH, z)
@@ -536,13 +533,13 @@ def _el_velocity(space, H, z, hbar, h=None, stacked=False, dH=None):
     return complex(v[0]) if space.scalar_chart else v
 
 
-def hamiltonian_vector_field(space, H, z, hbar=1.0, grad_h=None, dH=None):
+def hamiltonian_vector_field(space, H, z, hbar=1.0, dH=None):
     """Euler-Lagrange field z' = -(i/hbar) Hm^{-1} dH/dconj(z) at z, as a
     tangent in label form; the derivative is ``dH(z)`` where given, else
-    the stencil gradient of H with step ``grad_h``."""
+    the stencil gradient of H."""
     z = space.validate(z)
     with np.errstate(over="ignore", invalid="ignore"):
-        return _el_velocity(space, H, z, hbar, grad_h, dH=dH)
+        return _el_velocity(space, H, z, hbar, dH=dH)
 
 
 def poisson_bracket(space, f, g, z, hbar=1.0, grad_h=None):

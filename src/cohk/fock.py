@@ -65,8 +65,9 @@ def _klauder_exponent(z, zp):
 
     ``[()]`` turns the 0-d head of a single label into a numpy scalar, so a
     single pair stays on numpy's fast scalar arithmetic: an el_integrate RK4
-    step makes 4 single-label calls (the mixed matrix of each stage) plus 4
-    calls on a gradient stencil stack.
+    step on klauder makes 4 single-label calls (the closed mixed solve of
+    each stage), plus 4 more from a closed-form dH that evaluates the kernel
+    or 4 calls on a gradient stencil stack where the spec gives no dH.
     """
     return np.conj(z[..., 0]) + zp[..., 0][()] + np.vecdot(z[_MODES], zp[_MODES])
 

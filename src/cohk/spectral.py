@@ -413,19 +413,22 @@ def kt_roundtrip_residual(ham, z, zp, t, eta, E_grid, dt=1e-2):
 # equation residuals
 
 
-def schwinger_dyson_residual(ham, z, zp, t, dt_fd=1e-4):
+# the time step of schwinger_dyson_residual's central difference
+_SD_DT = 1e-4
+
+
+def schwinger_dyson_residual(ham, z, zp, t):
     """|i hbar dK_t/dt - <z| H e^{-iota t H} |z'>| / |K_t|.
 
-    The time derivative is a central difference of exact flows; the right
-    side is the closed-form dGamma element at the evolved label.  ``z``,
+    The time derivative is a central difference of exact flows at steps of
+    _SD_DT; the right side is the closed-form dGamma element at the evolved
+    label.  ``z``,
     ``zp`` and ``t`` may stack cases along leading axes (labels with their
     coordinate axis last); the three flows of every case are one
     ``flow_exact`` call, and a stack gives one residual per case.
     """
     if ham.gen is None:
         raise DomainError("the Schwinger-Dyson residual needs an oscillator generator")
-    if dt_fd <= 0:
-        raise DomainError("dt_fd must be positive")
     hbar = ham.hbar
     z, zp = np.asarray(z, dtype=complex), np.asarray(zp, dtype=complex)
     cases = np.broadcast_shapes(z.shape[:-1], zp.shape[:-1], np.shape(t))
@@ -433,8 +436,8 @@ def schwinger_dyson_residual(ham, z, zp, t, dt_fd=1e-4):
     z, zp = (np.broadcast_to(a, cases + a.shape[-1:]).reshape(-1, a.shape[-1])
              for a in (z, zp))
     t = np.broadcast_to(np.asarray(t, dtype=float), cases).reshape(-1)
-    psi_p, psi_m, psi = flow_exact(ham.gen, np.stack([t + dt_fd, t - dt_fd, t]), zp, hbar)
-    dk = (klauder_kernel(z, psi_p) - klauder_kernel(z, psi_m)) / (2.0 * dt_fd)
+    psi_p, psi_m, psi = flow_exact(ham.gen, np.stack([t + _SD_DT, t - _SD_DT, t]), zp, hbar)
+    dk = (klauder_kernel(z, psi_p) - klauder_kernel(z, psi_m)) / (2.0 * _SD_DT)
     rhs = dgamma_element(ham.gen, z, psi)
     res = np.abs(1j * hbar * dk - rhs) / np.maximum(1e-300, np.abs(klauder_kernel(z, psi)))
     return float(res[0]) if cases == () else res.reshape(cases)

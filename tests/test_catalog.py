@@ -3,6 +3,7 @@
 import importlib.util
 import math
 import warnings
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -301,6 +302,76 @@ def test_debranges_geometry_stack_mixes_closed_and_fd_cases(rng):
     rep = geometry_report(sp, Z, X, Y)
     assert rep.provenance == "mixed"
     assert rep.g_closed[3] == rep.g_fd[3] and rep.rel_discrepancies[0][3] == 0.0
+
+
+def _assert_broadcast_matches_single_cases(space, z, X, Y):
+    """Every geometry entry point on labels and tangents whose stacks
+    broadcast against each other gives, case by case, the single-case call
+    bit for bit; values read from z and X alone broadcast to the full
+    shape."""
+    tail = () if space.scalar_chart else (space.coord_len,)
+    stacks = [np.shape(a)[:np.ndim(a) - len(tail)] for a in (z, X, Y)]
+    shape = np.broadcast_shapes(*stacks)
+    shape_x = np.broadcast_shapes(*stacks[:2])
+    th, W = one_form_theta(space, z, X), wtg_matrix(space, z, X)
+    margin = infinitesimal_cs_margin(space, z, X)
+    g, om = metric_g(space, z, X, Y), two_form_omega(space, z, X, Y)
+    rep = geometry_report(space, z, X, Y)
+    assert th.shape == margin.shape == shape_x and W.shape == shape_x + (2, 2)
+    assert g.shape == om.shape == rep.g_fd.shape == rep.omega_closed.shape == shape
+    assert rep.theta_fd.shape == shape_x
+    for idx in np.ndindex(shape):
+        zi, xi, yi = (np.broadcast_to(a, shape + tail)[idx] for a in (z, X, Y))
+        assert one_form_theta(space, zi, xi) == np.broadcast_to(th, shape)[idx]
+        assert np.array_equal(wtg_matrix(space, zi, xi),
+                              np.broadcast_to(W, shape + (2, 2))[idx])
+        assert infinitesimal_cs_margin(space, zi, xi) == np.broadcast_to(margin, shape)[idx]
+        assert metric_g(space, zi, xi, yi) == g[idx]
+        assert two_form_omega(space, zi, xi, yi) == om[idx]
+        one = geometry_report(space, zi, xi, yi)
+        for name in ("g_closed", "g_fd", "theta_closed", "theta_fd", "omega_closed", "omega_fd"):
+            assert getattr(one, name) == np.broadcast_to(getattr(rep, name), shape)[idx], name
+        assert one.rel_discrepancies == tuple(np.broadcast_to(r, shape)[idx]
+                                              for r in rep.rel_discrepancies)
+
+
+def _unit_displacements(space):
+    """The chart's real unit displacements, one per row ([1, 1j] on a
+    complex scalar chart)."""
+    if space.scalar_chart:
+        return np.array([1.0, 1j]) if space.complex_chart else np.array([1.0])
+    return np.eye(space.coord_len, dtype=complex if space.complex_chart else float)
+
+
+def test_geometry_broadcasts_labels_against_tangents(space, rng):
+    z = space.sample_point(rng)
+    Zk = space.stack([z] * 6)
+    X, Y = space.sample_tangent(Zk, rng), space.sample_tangent(Zk, rng)
+    # one label, a stack of tangents
+    _assert_broadcast_matches_single_cases(space, z, X, Y)
+    # one label, the basis pairs (E_a, E_b) of a matrix
+    E = _unit_displacements(space)
+    _assert_broadcast_matches_single_cases(space, z, E[:, None], E[None])
+    # three labels against the six tangents
+    Z = space.sample_points(rng, 3)
+    _assert_broadcast_matches_single_cases(space, Z[:, None], X, Y)
+
+
+def test_debranges_broadcast_takes_closed_and_fd_case_by_case(rng):
+    sp = make_space("debranges", preset="exp")
+    # |Im z| >= 1e-4 takes the closed forms, below it the FD oracle
+    Z = np.array([0.3 + 0.5j, 0.3 + 5e-5j, -0.7 - 1e-4j, 0.1 - 2e-5j, 1.2 - 0.4j])
+    closed = sp.has_closed_geometry(Z)
+    assert list(closed) == [True, False, True, False, True]
+    X, Y = sp.sample_tangent(np.zeros(4), rng), sp.sample_tangent(np.zeros(4), rng)
+    g = metric_g(sp, Z[:, None], X, Y)
+    assert g.shape == (5, 4)
+    for i, z in enumerate(Z):
+        mixed = sp.mixed_form if closed[i] else partial(fd_LR, sp)
+        for j in range(4):
+            assert metric_g(sp, z, X[j], Y[j]) == g[i, j]
+            assert (mixed(z, X[j], Y[j]) + mixed(z, Y[j], X[j])) / 2.0 == g[i, j]
+    _assert_broadcast_matches_single_cases(sp, Z[:, None], X, Y)
 
 
 def test_debranges_stack_mixes_diagonal_and_far_pairs():

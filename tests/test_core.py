@@ -94,6 +94,13 @@ def test_psd_check_rejects_nonsquare():
         psd_check(np.ones((2, 3)))
 
 
+def test_empty_point_sets_are_domain_errors(space):
+    with pytest.raises(DomainError, match="points: a Gram matrix needs at least one point"):
+        gram(space, [])
+    with pytest.raises(DomainError, match=r"gram matrix is empty \(0 x 0\)"):
+        psd_check(np.zeros((0, 0)))
+
+
 def test_gram_psd_property(space, rng):
     pts = space.sample_points(rng, 12)
     assert psd_check(gram(space, pts)).passed

@@ -899,6 +899,30 @@ def test_klauder_mixed_matrix_is_the_stacked_basis(dim):
                 assert abs(Hm[a, b] - fd_LR(space, z, E[a], E[b])) <= 1e-7 * k
 
 
+def test_debranges_mixed_matrix_stack_takes_closed_and_fd_case_by_case():
+    space = make_space("debranges")
+    # |Im z| >= 1e-4 takes the closed form, below it the FD oracle
+    Z = np.array([0.3 + 0.5j, 0.3 + 5e-5j, -0.7 - 1e-4j, 0.1 - 2e-5j, 1.2 - 0.4j])
+    Hm = _mixed_matrix(space, Z[:, None, None])
+    assert Hm.shape == (5, 1, 1)
+    closed = space.has_closed_geometry(Z)
+    assert list(closed) == [True, False, True, False, True]
+    for z, h, c in zip(Z, Hm, closed):
+        assert np.array_equal(_mixed_matrix(space, z), h)  # bit for bit
+        want = space.mixed_form(z, 1.0, 1.0) if c else fd_LR(space, z, 1.0, 1.0)
+        assert h[0, 0] == want
+
+
+@pytest.mark.parametrize("name", ["klauder", "hermitian", "sphere"])
+def test_mixed_matrix_takes_a_stack_of_labels(name):
+    space = make_space(name, dim=2)
+    Z = space.sample_points(np.random.default_rng(SEED), 7)
+    Hm = _mixed_matrix(space, Z[:, None, None])
+    assert Hm.shape == (7, space.coord_len, space.coord_len)
+    for z, h in zip(Z, Hm):
+        assert np.array_equal(_mixed_matrix(space, z), h)  # bit for bit
+
+
 # ---------------------------------------------------------------------------
 # the closed klauder solve against its eigh oracle
 

@@ -141,6 +141,11 @@ def test_orthonormal_basis_empty_rank_rejected():
         orthonormal_basis(space, [np.zeros(2)])
 
 
+def test_orthonormal_basis_of_no_points_names_them():
+    with pytest.raises(DomainError, match="points: a Gram matrix needs at least one point"):
+        orthonormal_basis(make_space("klauder"), [])
+
+
 def test_gamma_apply_rotation_has_transpose_adjoint():
     space = make_space("euclidean")
     th = 0.7
