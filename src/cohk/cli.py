@@ -14,7 +14,9 @@ not finite, series, trajectories, grids or counts too short or too long to
 run, and output paths that cannot be written.  The experiment runners
 return their data tables; ``run_config`` alone creates the output
 directory and its files, and only once the run is accepted, so a rejected
-run writes nothing.  NumPy's overflow, invalid-value and division warnings
+run writes nothing.  An accepted run first removes the files that a
+``report.json`` already in the directory lists, so the directory holds one
+run's files.  NumPy's overflow, invalid-value and division warnings
 are silenced while an experiment runs, so a rejected config prints only
 its config error line.
 
@@ -887,6 +889,24 @@ def _resolve_output(raw, out_flag):
     return path
 
 
+def _remove_previous_run(outdir):
+    """Remove the files that a report.json already in ``outdir`` lists, so
+    the directory holds one run's files.  Only plain file names inside
+    ``outdir`` are removed; a report that does not parse is left alone."""
+    try:
+        with open(os.path.join(outdir, "report.json")) as fh:
+            names = json.load(fh)["data_files"]
+    except (OSError, ValueError, KeyError, TypeError):
+        return
+    for name in names if isinstance(names, list) else ():
+        if not isinstance(name, str) or name in ("", ".", "..") \
+                or os.path.basename(name) != name:
+            continue
+        path = os.path.join(outdir, name)
+        if os.path.isfile(path):
+            os.remove(path)
+
+
 def run_config(config_path, out_flag=None, seed_flag=None):
     """Execute one experiment config; returns the RunReport."""
     t_start = time.perf_counter()
@@ -938,9 +958,11 @@ def run_config(config_path, out_flag=None, seed_flag=None):
         wall_time_s=0.0,
     )
     payload = json.dumps(report.to_json(), indent=2, sort_keys=True) + "\n"
-    # the run is accepted: only now does it create files
+    # the run is accepted: only now does it create files, and remove the
+    # files of the run that wrote there before it
     try:
         os.makedirs(outdir, exist_ok=True)
+        _remove_previous_run(outdir)
         for table in tables:
             _write_csv(outdir, *table)
         with open(os.path.join(outdir, "report.json"), "w") as fh:

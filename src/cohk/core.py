@@ -43,6 +43,19 @@ DEFAULT_SEED = 0xC0FFEE
 MAX_SIZE = 20_000_000
 
 
+def _step_count(span, dt, name):
+    """round(span / dt), the one step rule of every time grid: a DomainError
+    starting with ``name`` unless 0 < dt < inf, span >= 0 and the count is
+    at most MAX_SIZE (an infinite span needs infinitely many steps)."""
+    if not (0.0 < dt < math.inf and span >= 0.0):
+        raise DomainError(f"{name}, dt={dt:g}: need a horizon >= 0 and a finite step dt > 0")
+    steps = span / dt  # may overflow to inf, so compared before rounding
+    if not steps <= MAX_SIZE + 0.5:
+        raise DomainError(f"{name} needs {steps:.3g} steps of dt={dt:g}; "
+                          f"the most allowed is {MAX_SIZE}")
+    return int(round(steps))
+
+
 class DomainError(ValueError):
     """Point does not belong to the space (wrong shape, tag or region)."""
 
@@ -101,7 +114,6 @@ class CoherentSpace:
     """
 
     space_id = "coherent"
-    nondegenerate_claim = True
     coord_len = 1
     complex_chart = True
     scalar_chart = False

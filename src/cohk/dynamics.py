@@ -49,7 +49,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .core import MAX_SIZE, CoherentSpace, DegenerateFormError, DomainError
+from .core import CoherentSpace, DegenerateFormError, DomainError, _step_count
 from .catalog import _mixed, one_form_theta
 from .fock import _block_exp, gen_block
 
@@ -124,8 +124,8 @@ class HamiltonianSpec:
     stacked: bool = False
 
     def __post_init__(self):
-        if self.hbar <= 0:
-            raise DomainError("hbar must be positive")
+        if not 0.0 < self.hbar < math.inf:
+            raise DomainError("hbar must be finite and positive")
         if sum(x is not None for x in (self.gen, self.F, self.H)) != 1:
             raise DomainError("specify exactly one of gen, F, H")
         if self.dH is not None and self.H is None:
@@ -142,11 +142,19 @@ def flow_exact(gen, t, z, hbar=1.0):
     The result has the broadcast shape of ``t.shape`` and ``z.shape[:-1]``,
     plus the coordinate axis.  One ``_block_exp`` call exponentiates
     -i t gen / hbar for each entry of ``t``; the affine action applies it, so
-    a label gets the same bits in any stack.  Cases whose exponential
+    a label gets the same bits in any stack.  An hbar that is not finite
+    and positive, or a t / hbar that is not finite, raises DomainError
+    before any exponential; grids of flow points take their step count
+    from the one step rule, ``core._step_count``.  Cases whose exponential
     overflows, and only those, flow in two halves, up to 40 times over; a
     flow whose labels overflow raises DomainError naming t.
     """
-    return _flow(gen, np.asarray(t, dtype=float), np.asarray(z, dtype=complex), hbar, 0)
+    t = np.asarray(t, dtype=float)
+    with np.errstate(all="ignore"):
+        bad = ~np.isfinite(t / hbar) | (not 0.0 < hbar < math.inf)
+    if bad.any():
+        raise DomainError(f"a flow needs finite t / hbar and 0 < hbar < inf, not t={t[bad][0]:g}")
+    return _flow(gen, t, np.asarray(z, dtype=complex), hbar, 0)
 
 
 def _affine(M, z):
@@ -356,15 +364,12 @@ def propagate_ode(space, ham, z0, t_end, dt):
     last valid point, with meta["aborted"] set and meta["reason"] the
     error's message; meta["hbar"] records the spec's hbar for
     autocorrelation.  The points are one array that owns its data; a
-    truncated trajectory is a copy of the rows it reached.
+    truncated trajectory is a copy of the rows it reached.  The step count
+    is round(t_end / dt) by the one step rule, ``core._step_count``: a
+    DomainError unless dt is finite and positive, t_end is finite and at
+    least 0 and the count is at most MAX_SIZE.
     """
-    if dt <= 0 or t_end < 0:
-        raise DomainError("need dt > 0 and t_end >= 0")
-    steps = t_end / dt  # may overflow to inf, so compared before rounding
-    if steps > MAX_SIZE + 0.5:
-        raise DomainError(f"{steps:.3g} steps for t_end={t_end:g}, dt={dt:g}; "
-                          f"the most allowed is {MAX_SIZE}")
-    n_steps = int(round(steps))
+    n_steps = _step_count(t_end, dt, f"t_end={t_end:g}")
     y = z0 = space.validate(z0)
     meta = {"integrator": "rk4", "dt": dt, "hbar": ham.hbar, "aborted": False}
     if ham.gen is not None:

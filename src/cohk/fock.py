@@ -18,6 +18,7 @@ stated in.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -270,17 +271,21 @@ def normal_ordered_element(F, z, zp):
     return klauder_kernel(z, zp) * complex(F(np.conj(z[1:]), zp[1:]))
 
 
-def normal_ordered_series(F_terms, z, zp, tail=1e-14, max_terms=10000):
+# normal_ordered_series stops once a term falls below this share of the sum
+_SERIES_TAIL = 1e-14
+
+
+def normal_ordered_series(F_terms, z, zp, max_terms=10000):
     """Sum normal_ordered_element over countably many terms.
 
-    Truncates once a term falls below ``tail`` relative to the running
-    sum; raises if max_terms are consumed first.
+    Truncates once a term falls below ``_SERIES_TAIL`` relative to the
+    running sum; raises if max_terms are consumed first.
     """
     total = 0.0 + 0.0j
     for k, F in enumerate(F_terms):
         term = normal_ordered_element(F, z, zp)
         total += term
-        if k > 0 and abs(term) <= tail * max(1.0, abs(total)):
+        if k > 0 and abs(term) <= _SERIES_TAIL * max(1.0, abs(total)):
             return total
         if k + 1 >= max_terms:
             raise ArithmeticError("normal-ordered series did not settle")
@@ -448,10 +453,10 @@ def ccr_epsilon_check(p, q, z, zp, eps_list):
     p*q K(z,z') and -2 Im(p*q) K(z,z').
     """
     eps_list = [float(e) for e in eps_list]
-    if len(eps_list) < 2 or any(e <= 0 for e in eps_list) or any(
+    if len(eps_list) < 2 or any(not 0.0 < e < math.inf for e in eps_list) or any(
         a <= b for a, b in zip(eps_list, eps_list[1:])
     ):
-        raise DomainError("eps_list must be decreasing and positive")
+        raise DomainError("eps_list must be decreasing, finite and positive")
     p = np.asarray(p, dtype=complex).reshape(-1)
     q = np.asarray(q, dtype=complex).reshape(-1)
     n = len(p)

@@ -101,7 +101,6 @@ class CoherentMapSpec:
 
     forward: object
     adjoint: object = None
-    unitary_claim: bool = False
 
 
 def gamma_apply(A, psi):
@@ -159,13 +158,12 @@ class KernelOperator:
     """An operator represented by its shadow <z|X|z'>.
 
     Whether a user-supplied shadow really comes from an operator on the
-    quantum space is accepted on faith (checked = False); the operators
-    this package constructs are built from point maps and semigroup
-    elements, which do qualify.
+    quantum space is accepted on faith; the operators this package
+    constructs are built from point maps and semigroup elements, which do
+    qualify.
     """
 
     matrix_element: object
-    checked: bool = False
 
 
 def sandwich(op, phi, psi):

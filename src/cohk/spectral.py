@@ -7,9 +7,13 @@ built by the doubling of ``dynamics._flow_points``: flow_exact over m steps,
 for m = 1, 2, 4, ..., maps the first m points onto the next m, so a series
 of N steps costs log2(N) flow_exact calls and each point carries the
 rounding of at most log2(N) of them; a flow that overflows raises
-DomainError.  Time averages pick out eigencomponents, a
-Hann-windowed Fourier scan locates spectral lines, and damped one-sided
-quadrature
+DomainError.  Every horizon (a series' t_max, a damped quadrature's
+derived one, an average's T) becomes a step count by the one step rule,
+``core._step_count``: round(horizon / dt), a DomainError unless dt is
+finite and positive, the horizon finite and at least 0 and the count at
+most MAX_SIZE; a series needs at least one step.  Time averages pick out
+eigencomponents, a Hann-windowed Fourier scan locates spectral lines, and
+damped one-sided quadrature
 
     G(E) = -iota * integral_0^tmax e^{iota t E} K_t dt,   iota = i / hbar
 
@@ -29,7 +33,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import MAX_SIZE, DomainError
+from .core import DomainError, _step_count
 from .dynamics import AutocorrSeries, _flow_points, autocorrelation, flow_exact
 from .fock import OscGenerator, dgamma_element, klauder_kernel
 
@@ -64,18 +68,11 @@ def _series_points(gen, zp, t_max, dt, hbar):
     the step-count checks every series shares."""
     if gen is None:
         raise DomainError("spectral series need an oscillator generator, HamiltonianSpec(gen=...)")
-    if dt <= 0 or t_max <= 0:
-        raise DomainError("need dt > 0 and t_max > 0")
-    steps = t_max / dt  # may overflow to inf, so compared before rounding
-    if steps > MAX_SIZE + 0.5:
-        raise DomainError(
-            f"{steps:.3g} steps for t_max={t_max:g}, dt={dt:g}; an energy this "
-            "close to the real axis needs the eta extrapolation instead"
-        )
-    if steps <= 0.5:
+    steps = _step_count(t_max, dt, f"t_max={t_max:g}")
+    if steps < 1:
         # one sample spans no time, and the scans divide by the series length
         raise DomainError(f"t_max={t_max:g} is shorter than one step dt={dt:g}")
-    return _flow_points(gen, zp, int(round(steps)), dt, hbar)
+    return _flow_points(gen, zp, steps, dt, hbar)
 
 
 def oscillator_series(gen, z, zp, t_max, dt, hbar=1.0):
@@ -110,7 +107,7 @@ def time_average_overlap(series, E, T, swapped=None):
     off the spectrum it decays like 1/T.
     """
     dt = series.dt
-    n = int(round(T / dt))
+    n = _step_count(T, dt, f"T={T:g}")
     if series.t0 != 0.0 or n > len(series.values) - 1 or n < 1:
         raise DomainError("series does not cover [-T, T]")
     vals = _two_sided(series, swapped)
@@ -126,7 +123,7 @@ def eigencomponent_overlap(space, zp, traj, E, T):
     """One-sided time average of e^{iota t E} K(z', psi(t)) over [0, T], at
     the hbar the trajectory's integrator recorded."""
     series = autocorrelation(space, zp, traj)
-    n = int(round(T / series.dt)) if series.dt > 0 else 0
+    n = _step_count(T, series.dt, f"T={T:g}") if len(series.values) > 1 else 0
     if n > len(series.values) - 1 or n < 1:
         raise DomainError("trajectory does not cover [0, T]")
     t = series.dt * np.arange(n + 1)
@@ -267,14 +264,8 @@ def _auto_t_max(rate, hbar, dt, name):
     DomainError naming the damping input ``name`` if that is within one step
     or more than MAX_SIZE steps away."""
     t_max = hbar * math.log(1e12) / rate
-    if dt > 0:
-        steps = t_max / dt
-        if steps <= 0.5:
-            raise DomainError(f"{name}={rate:g} damps the series below 1e-12 "
-                              f"within one step dt={dt:g}")
-        if steps > MAX_SIZE + 0.5:
-            raise DomainError(f"{name}={rate:g} needs {steps:.3g} steps of dt={dt:g} to damp "
-                              f"the series below 1e-12; the most allowed is {MAX_SIZE}")
+    if _step_count(t_max, dt, f"{name}={rate:g}") < 1:
+        raise DomainError(f"{name}={rate:g} damps the series below 1e-12 within one step dt={dt:g}")
     return t_max
 
 
@@ -282,8 +273,8 @@ def _resolvent_quadrature(ham, z, zp, E, t_max, dt, *elements):
     """-iota integral_0^tmax e^{iota t E} f(z, psi(t)) dt (trapezoid) for each
     f(z, pts) of ``elements``, over one flow psi of z'; t_max as in resolvent_element."""
     E = complex(E)
-    if E.imag <= 0:
-        raise DomainError("direct resolvent quadrature needs Im E > 0")
+    if not (math.isfinite(E.real) and 0.0 < E.imag < math.inf):
+        raise DomainError("direct resolvent quadrature needs a finite E with Im E > 0")
     hbar = ham.hbar
     if t_max <= 0:
         t_max = _auto_t_max(E.imag, hbar, dt, "Im E")
@@ -371,8 +362,8 @@ def spectral_density(ham, z, zp, E_grid, eta, dt=1e-2):
     """-(1/pi) Im G(E + i eta) on a uniform energy grid, from one shared
     series and one chirp-z transform; other grids, and grids that reach
     the band 2 pi hbar/dt (``_alias_guard``), raise DomainError."""
-    if eta <= 0:
-        raise DomainError("eta must be positive")
+    if not 0.0 < eta < math.inf:
+        raise DomainError("eta must be finite and positive")
     hbar = ham.hbar
     _alias_guard(E_grid, dt, hbar)
     t_max = _auto_t_max(eta, hbar, dt, "eta")

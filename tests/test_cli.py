@@ -465,3 +465,46 @@ def test_reruns_are_byte_identical(tmp_path, experiment, params):
         assert (tmp_path / "a" / name).read_bytes() == (
             tmp_path / "b" / name
         ).read_bytes(), name
+
+
+def _listed_files(outdir):
+    report = json.loads((outdir / "report.json").read_text())
+    return sorted(report["data_files"] + ["report.json"])
+
+
+def test_a_reused_output_directory_holds_only_the_last_run(tmp_path):
+    out = tmp_path / "out"
+    run_config(_write_config(tmp_path, _base("gram-psd", {"samples": 2, "n_points": 4})),
+               out_flag=str(out))
+    assert "gram_eigs.csv" in os.listdir(out)
+    dyn = _base("dynamics", {"t_end": 1.0, "dt": 0.05})
+    report = run_config(_write_config(tmp_path, dyn, "dyn.json"), out_flag=str(out))
+    assert sorted(os.listdir(out)) == sorted(report.data_files) == _listed_files(out)
+
+
+def test_a_rejected_run_leaves_the_earlier_run_in_place(tmp_path, capsys):
+    out = tmp_path / "out"
+    run_config(_write_config(tmp_path, _base("gram-psd", {"samples": 2, "n_points": 4})),
+               out_flag=str(out))
+    before = {name: (out / name).read_bytes() for name in os.listdir(out)}
+    bad = _base("spectrum", {"t_max": 0.01, "dt": 0.05})
+    assert main(["run", _write_config(tmp_path, bad, "bad.json"), "--out", str(out)]) == 2
+    assert {name: (out / name).read_bytes() for name in os.listdir(out)} == before
+
+
+@pytest.mark.parametrize("report", [
+    "not json",
+    json.dumps({"data_files": ["../keep.csv", "sub/keep.csv", "..", "", 3]}),
+    json.dumps({"data_files": "keep.csv"}),
+    json.dumps(["keep.csv"]),
+])
+def test_only_plain_names_of_a_parsed_report_are_removed(tmp_path, report):
+    out = tmp_path / "out"
+    (out / "sub").mkdir(parents=True)
+    for path in (tmp_path / "keep.csv", out / "sub" / "keep.csv", out / "keep.csv"):
+        path.write_text("x")
+    (out / "report.json").write_text(report)
+    run_config(_write_config(tmp_path, _base("gram-psd", {"samples": 2, "n_points": 4})),
+               out_flag=str(out))
+    for path in (tmp_path / "keep.csv", out / "sub" / "keep.csv", out / "keep.csv"):
+        assert path.read_text() == "x"

@@ -197,8 +197,6 @@ def test_nondegeneracy_probe_euclidean():
 
 
 def test_nondegeneracy_probe_distinct_points(space, rng):
-    if not space.nondegenerate_claim:
-        pytest.skip("space makes no nondegeneracy claim")
     z, z2 = space.sample_points(rng, 2)
     witnesses = space.sample_points(rng, 8)
     assert nondegeneracy_probe(space, z, z2, witnesses) > 1e-12

@@ -150,8 +150,7 @@ def test_gamma_apply_rotation_has_transpose_adjoint():
     space = make_space("euclidean")
     th = 0.7
     R = np.array([[np.cos(th), -np.sin(th)], [np.sin(th), np.cos(th)]])
-    A = CoherentMapSpec(forward=lambda z: R @ z, adjoint=lambda z: R.T @ z,
-                        unitary_claim=True)
+    A = CoherentMapSpec(forward=lambda z: R @ z, adjoint=lambda z: R.T @ z)
     rng = np.random.default_rng(SEED)
     samples = [(space.sample_point(rng), space.sample_point(rng))
                for _ in range(25)]
