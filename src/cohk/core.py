@@ -276,17 +276,37 @@ def psd_check(g, tol_rel=1e-10, tol_abs=1e-12):
     relative term matters because Hilbert-type Grams are severely
     ill-conditioned and an absolute-only tolerance misfires on them.
 
+    A matrix whose Hermitized form has an imaginary part that is exactly 0
+    (every Gram of a real-chart space) is checked with the cheaper real
+    symmetric solver; every other matrix takes the complex Hermitian solver
+    as before, bit for bit.
+
     ``g`` may stack matrices along leading axes, shape (..., n, n); the
-    report's fields then have the stack shape.
+    report's fields then have the stack shape.  Each matrix of a stack gets
+    its solver on its own, so its row of the report is the report of that
+    matrix checked alone.
     """
     g = np.asarray(g, dtype=complex)
     if g.ndim < 2 or g.shape[-1] != g.shape[-2]:
         raise DomainError("gram matrix must be square")
     if not g.shape[-1]:
         raise DomainError("gram matrix is empty (0 x 0)")
+    if not g.imag.any():
+        g = g.real  # |x + 0j| is |x|: the same defect and scale, in real arithmetic
     gh = np.conj(np.swapaxes(g, -1, -2))
     herm_defect = np.max(np.abs(g - gh), axis=(-2, -1))
-    eigs = np.linalg.eigvalsh((g + gh) / 2.0)
+    s = g + gh
+    s /= 2.0
+    real = ~np.any(s.imag, axis=(-2, -1))  # per matrix, whatever the stack holds
+    # a stack of one kind goes to its solver whole, without copying rows
+    if real.all():
+        eigs = np.linalg.eigvalsh(s.real)
+    elif not real.any():
+        eigs = np.linalg.eigvalsh(s)
+    else:
+        eigs = np.empty(s.shape[:-1])
+        eigs[real] = np.linalg.eigvalsh(s.real[real])
+        eigs[~real] = np.linalg.eigvalsh(s[~real])
     mn, mx = eigs[..., 0], eigs[..., -1]
     scale = np.maximum(1.0, np.max(np.abs(g), axis=(-2, -1)))
     ok = (mn >= -tol_abs - tol_rel * np.maximum(1.0, mx)) & (herm_defect <= 1e-12 * scale)

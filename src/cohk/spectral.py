@@ -103,6 +103,8 @@ def _two_sided(series, swapped):
 def time_average_overlap(series, E, T, swapped=None):
     """(1/2T) integral_{-T}^{T} e^{iota t E} K_t dt, trapezoid.
 
+    The integral runs over the grid's n = round(T/dt) steps each side and is
+    divided by the span 2 n dt it covers, so a T off the grid is not biased.
     Converges to the eigenspace-projection element <z|Pi(E)|z'> as T grows;
     off the spectrum it decays like 1/T.
     """
@@ -116,19 +118,21 @@ def time_average_overlap(series, E, T, swapped=None):
     t = dt * np.arange(-n, n + 1)
     iota = 1j / series.hbar
     integrand = np.exp(iota * E * t) * v
-    return complex(np.trapezoid(integrand, dx=dt) / (2.0 * T))
+    return complex(np.trapezoid(integrand, dx=dt) / (2.0 * n * dt))
 
 
 def eigencomponent_overlap(space, zp, traj, E, T):
     """One-sided time average of e^{iota t E} K(z', psi(t)) over [0, T], at
-    the hbar the trajectory's integrator recorded."""
+    the hbar the trajectory's integrator recorded.  As in
+    :func:`time_average_overlap`, the trapezoid over the n = round(T/dt)
+    steps is divided by the span n dt it covers."""
     series = autocorrelation(space, zp, traj)
     n = _step_count(T, series.dt, f"T={T:g}") if len(series.values) > 1 else 0
     if n > len(series.values) - 1 or n < 1:
         raise DomainError("trajectory does not cover [0, T]")
     t = series.dt * np.arange(n + 1)
     integrand = np.exp((1j / series.hbar) * E * t) * series.values[: n + 1]
-    return complex(np.trapezoid(integrand, dx=series.dt) / T)
+    return complex(np.trapezoid(integrand, dx=series.dt) / (n * series.dt))
 
 
 # ---------------------------------------------------------------------------

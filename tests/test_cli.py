@@ -367,6 +367,18 @@ def test_gram_psd_explicit_points_value(tmp_path):
     assert eig.value == pytest.approx(2.687340355773545e-3, rel=1e-9)
 
 
+def test_gram_psd_szego_real_labels_take_the_real_solver(tmp_path):
+    # on real labels the Szego Gram 1/(1 - x x') is real and symmetric
+    x = np.array([-0.6, -0.1, 0.3, 0.7])
+    cfg = _base(params={"points": x.tolist()}, space={"kind": "szego"})
+    report = run_config(_write_config(tmp_path, cfg), out_flag=str(tmp_path / "out"))
+    assert report.passed
+    eigs = np.linalg.eigvalsh(1.0 / (1.0 - np.outer(x, x)))
+    values = {c.name: c.value for c in report.checks}
+    assert values["min_eigenvalue"] == eigs[0]
+    assert values["hermiticity_defect"] == 0.0
+
+
 def test_spectrum_writes_line_and_density_csv(tmp_path):
     cfg = _base(
         "spectrum",

@@ -89,6 +89,63 @@ def test_psd_check_indefinite():
     assert rep.max_eigenvalue == pytest.approx(3.0)
 
 
+def _hermitized(g):
+    return (g + np.conj(np.swapaxes(g, -1, -2))) / 2.0
+
+
+@pytest.mark.parametrize("kind, kw", [
+    ("euclidean", {"dim": 1}), ("euclidean", {"dim": 2}), ("euclidean", {"dim": 3}),
+    ("reciprocal", {}),
+], ids=["euclidean-1", "euclidean-2", "euclidean-3", "reciprocal"])
+def test_psd_check_real_grams_match_the_complex_solver(kind, kw, rng):
+    # 2000 real 12-point Grams: the real symmetric solver psd_check takes on
+    # them against the complex Hermitian solver as the oracle
+    sp, n = make_space(kind, **kw), 12
+    g = np.stack([gram(sp, sp.sample_points(rng, n)) for _ in range(2000)])
+    assert not g.imag.any()
+    rep = psd_check(g)
+    real = np.linalg.eigvalsh(_hermitized(g).real)
+    assert np.array_equal(rep.min_eigenvalue, real[:, 0])
+    assert np.array_equal(rep.max_eigenvalue, real[:, -1])
+    ref = np.linalg.eigvalsh(_hermitized(g))
+    bound = 2.0 * n * np.finfo(float).eps * np.maximum(1.0, np.abs(ref).max(axis=-1))
+    assert np.all(np.abs(rep.min_eigenvalue - ref[:, 0]) <= bound)
+    assert np.all(np.abs(rep.max_eigenvalue - ref[:, -1]) <= bound)
+    # the verdicts agree, except where the smallest eigenvalue sits on the floor
+    floor = -1e-12 - 1e-10 * np.maximum(1.0, ref[:, -1])
+    differ = rep.passed != (ref[:, 0] >= floor)
+    assert np.all(np.abs(ref[differ, 0] - floor[differ]) <= 2.0 * bound[differ])
+
+
+def test_psd_check_mixed_stack_rows_match_single_calls(rng):
+    # real and complex Grams in one stack: each row is its single-matrix
+    # call, real rows on the real solver and complex rows on the complex one
+    real_sp, complex_sp = make_space("euclidean", dim=2), make_space("klauder", dim=1)
+    spaces = (real_sp, complex_sp, complex_sp, real_sp, complex_sp)
+    g = np.stack([gram(sp, sp.sample_points(rng, 8)) for sp in spaces])
+    rep = psd_check(g)
+    for i, gi in enumerate(g):
+        one = psd_check(gi)
+        assert (one.min_eigenvalue, one.max_eigenvalue, one.hermiticity_defect, one.passed) == (
+            rep.min_eigenvalue[i], rep.max_eigenvalue[i], rep.hermiticity_defect[i],
+            rep.passed[i])
+        s = _hermitized(gi)
+        eigs = np.linalg.eigvalsh(s.real if spaces[i] is real_sp else s)
+        assert (one.min_eigenvalue, one.max_eigenvalue) == (eigs[0], eigs[-1])
+
+
+def test_psd_check_symmetric_imaginary_part_takes_the_real_solver():
+    # G = A + iB with A and B symmetric is not Hermitian, but its Hermitized
+    # matrix A is real; the defect |G - G*| is 2 max|B|
+    a = np.array([[2.0, 0.5, 0.1], [0.5, 1.0, 0.3], [0.1, 0.3, 0.5]])
+    b = np.array([[0.0, 0.25, -0.5], [0.25, 0.125, 0.0], [-0.5, 0.0, 0.0]])
+    rep = psd_check(a + 1j * b)
+    eigs = np.linalg.eigvalsh(a)
+    assert (rep.min_eigenvalue, rep.max_eigenvalue) == (eigs[0], eigs[-1])
+    assert rep.hermiticity_defect == 2.0 * np.abs(b).max()
+    assert not rep.passed
+
+
 def test_psd_check_rejects_nonsquare():
     with pytest.raises(DomainError):
         psd_check(np.ones((2, 3)))

@@ -104,6 +104,19 @@ def test_time_average_needs_coverage(harmonic_series):
         time_average_overlap(harmonic_series, 0.0, 1e6)
 
 
+@pytest.mark.parametrize("T", [1.0, 1.02, 1.024])
+def test_time_averages_of_a_constant_series_are_the_constant(T):
+    # a zero generator keeps K_t = K(z, z), so both averages at E = 0 are
+    # K(z, z) also when T is not a multiple of dt
+    kzz = klauder_kernel(Z0, Z0)
+    series = oscillator_series(_zero_op(), Z0, Z0, 2.0, 0.05)
+    assert abs(time_average_overlap(series, 0.0, T) - kzz) <= 1e-14 * abs(kzz)
+    space = make_space("klauder")
+    traj = propagate_ode(space, HamiltonianSpec(gen=_zero_op()), Z0, 2.0, 0.05)
+    got = eigencomponent_overlap(space, Z0, traj, 0.0, T)
+    assert abs(got - kzz) <= 1e-14 * abs(kzz)
+
+
 def test_time_average_off_diagonal_needs_swapped_series():
     zp = np.array([0.2, 0.5 - 0.3j], dtype=complex)
     fwd = oscillator_series(_number_op(), Z0, zp, 50.0, 0.05)
