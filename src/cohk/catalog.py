@@ -50,7 +50,7 @@ from functools import partial
 import numpy as np
 
 from .core import MAX_SIZE, AxiomViolationError, CoherentSpace, DomainError
-from .fock import _klauder_exponent
+from .fock import _klauder_diagonal, _klauder_exponent
 
 __all__ = [
     "DeBrangesSpace",
@@ -196,6 +196,13 @@ class HermitianSpace(_VectorSpace):
     def mixed_form(self, z, X, Y):
         return self.kernel(X, Y)
 
+    # over the chart basis Hm = K(E_a, E_b) = I, so Hm^{-1} g = g and both
+    # extreme eigenvalues of Hm + Hm* are 2
+    def mixed_solve(self, z, g):
+        shape = np.broadcast_shapes(np.shape(z), np.shape(g))
+        two = np.full(shape[:-1], 2.0)[()]
+        return np.broadcast_to(g, shape).astype(complex), two, two
+
 
 class UnitSphereSpace(HermitianSpace):
     """Unit sphere in C^n with the restricted kernel z* z'.
@@ -265,14 +272,17 @@ class KlauderSpace(_VectorSpace):
     # P = diag(0, 1, ..., 1), a = [1, zhat] and n = |zhat|^2.  Sherman-Morrison
     # inverts it, (P + a a*)^{-1} = [[1 + n, -zhat*], [-zhat, I]], and its
     # eigenvalues are 1 (dim - 1 times), mu and 1/mu, with
-    # mu = ((2 + n) + sqrt(n (n + 4))) / 2.
+    # mu = ((2 + n) + sqrt(n (n + 4))) / 2.  K = exp(2 Re z0 + n) is one
+    # real exponential of the n already at hand.
     def mixed_solve(self, z, g):
         zh = z[..., 1:]
         n = np.vecdot(zh, zh).real
-        k = self.kernel(z, z).real
-        # the modes are ghat - zhat g0; the z0 slot is overwritten
-        x = g - np.multiply(z, g[..., :1])
-        x[..., 0] = np.multiply(1.0 + n, g[..., 0]) - np.vecdot(zh, g[..., 1:])
+        k = _klauder_diagonal(z, n)
+        # the modes are ghat - zhat g0; the z0 slot is overwritten (a real
+        # times a complex rounds alike on numpy scalars and arrays, so a
+        # single label takes the scalar one)
+        x = g - z * g[..., :1]
+        x[..., 0] = (1.0 + n) * g[..., 0][()] - np.vecdot(zh, g[..., 1:])
         x /= k[..., None]
         mu = 0.5 * ((2.0 + n) + np.sqrt(n * (n + 4.0)))
         return x, 2.0 * k / mu, 2.0 * k * mu
@@ -320,6 +330,17 @@ class _ScalarSpace(_CatalogSpace):
         sh = np.shape(z)
         x = rng.normal(size=sh) / math.sqrt(2)
         return (x + 1j * (rng.normal(size=sh) / math.sqrt(2)))[()]
+
+    # Hm is the 1x1 matrix h = L_1 R_1 K(z, z), through the closed-or-FD
+    # dispatch (de Branges' strip near the real axis takes the FD oracle,
+    # whose h need not be real).  S = Hm + Hm* = 2 Re h, so the solve
+    # S x = 2 g gives x = g / Re h, and both extreme eigenvalues of S are
+    # 2 Re h.  A real chart's 2-form vanishes; the dynamics layer rejects
+    # it before solving.
+    def mixed_solve(self, z, g):
+        h = _mixed(self, z, 1.0 + 0j, 1.0 + 0j).real
+        lam = 2.0 * h
+        return g / h, lam, lam
 
 
 class ReciprocalSpace(_ScalarSpace):

@@ -78,6 +78,7 @@ from .dynamics import (
 )
 from .fock import (
     OscGenerator,
+    _klauder_diagonal,
     ccr_epsilon_check,
     gamma_colon_residual,
     klauder_kernel,
@@ -623,14 +624,15 @@ def _quadratic_energy(space):
 
 def _quadratic_energy_dH(space):
     """dH/dconj(z) = K(z,z) [|zhat|^2, zhat (|zhat|^2 + 1)] for the
-    _quadratic_energy H on klauder, where K(z,z) = exp(2 Re z0 + |zhat|^2),
-    from one kernel evaluation; in label form, broadcast like H."""
+    _quadratic_energy H on klauder, where K(z,z) = exp(2 Re z0 + |zhat|^2)
+    is one real exponential of n = |zhat|^2; in label form, broadcast
+    like H."""
 
     def dH(z):
         zh = z[..., 1:]
-        k = space.kernel(z, z).real
         n = np.vecdot(zh, zh).real
-        out = np.empty(np.shape(z), dtype=complex)
+        k = _klauder_diagonal(z, n)
+        out = np.empty(z.shape, dtype=complex)
         out[..., 0] = k * n
         out[..., 1:] = (k * (n + 1.0))[..., None] * zh
         return out

@@ -42,6 +42,9 @@ DEFAULT_SEED = 0xC0FFEE
 #: allocate.
 MAX_SIZE = 20_000_000
 
+# entries up to this size add to themselves without overflow
+_HALF_MAX = np.finfo(float).max / 2.0
+
 
 def _step_count(span, dt, name):
     """round(span / dt), the one step rule of every time grid: a DomainError
@@ -279,12 +282,18 @@ def psd_check(g, tol_rel=1e-10, tol_abs=1e-12):
     A matrix whose Hermitized form has an imaginary part that is exactly 0
     (every Gram of a real-chart space) is checked with the cheaper real
     symmetric solver; every other matrix takes the complex Hermitian solver
-    as before, bit for bit.
+    as before, bit for bit.  An exactly Hermitian matrix, G == G* entry by
+    entry with no entry above half the float range, is its own Hermitized
+    matrix: it goes to its solver as it is, with a hermiticity defect of 0.
+    So do the Grams of most catalog spaces; szego's and schur's are
+    Hermitian only to rounding, since a complex quotient and the quotient
+    of the conjugates round differently.
 
     ``g`` may stack matrices along leading axes, shape (..., n, n); the
     report's fields then have the stack shape.  Each matrix of a stack gets
-    its solver on its own, so its row of the report is the report of that
-    matrix checked alone.
+    its solver and its Hermitization on its own, so its row of the report
+    is the report of that matrix checked alone.  A matrix with an entry
+    that is not finite, or whose modulus overflows, raises DomainError.
     """
     g = np.asarray(g, dtype=complex)
     if g.ndim < 2 or g.shape[-1] != g.shape[-2]:
@@ -293,10 +302,21 @@ def psd_check(g, tol_rel=1e-10, tol_abs=1e-12):
         raise DomainError("gram matrix is empty (0 x 0)")
     if not g.imag.any():
         g = g.real  # |x + 0j| is |x|: the same defect and scale, in real arithmetic
+    # max|G| is finite exactly when every entry and its modulus are
+    peak = np.max(np.abs(g), axis=(-2, -1))
+    if not np.isfinite(peak).all():
+        raise DomainError("gram matrix has an entry that is not finite or whose modulus overflows")
     gh = np.conj(np.swapaxes(g, -1, -2))
-    herm_defect = np.max(np.abs(g - gh), axis=(-2, -1))
-    s = g + gh
-    s /= 2.0
+    # G == G* whose entries double without overflow: (G + G*)/2 is G
+    own = np.all(g == gh, axis=(-2, -1)) & (peak <= _HALF_MAX)
+    if own.all():
+        s, herm_defect = g, np.zeros(own.shape)
+    else:
+        herm_defect = np.max(np.abs(g - gh), axis=(-2, -1))
+        s = g + gh
+        s /= 2.0
+        if own.any():
+            s[own] = g[own]
     real = ~np.any(s.imag, axis=(-2, -1))  # per matrix, whatever the stack holds
     # a stack of one kind goes to its solver whole, without copying rows
     if real.all():
@@ -308,7 +328,7 @@ def psd_check(g, tol_rel=1e-10, tol_abs=1e-12):
         eigs[real] = np.linalg.eigvalsh(s.real[real])
         eigs[~real] = np.linalg.eigvalsh(s[~real])
     mn, mx = eigs[..., 0], eigs[..., -1]
-    scale = np.maximum(1.0, np.max(np.abs(g), axis=(-2, -1)))
+    scale = np.maximum(1.0, peak)
     ok = (mn >= -tol_abs - tol_rel * np.maximum(1.0, mx)) & (herm_defect <= 1e-12 * scale)
     return PsdReport(mn[()], mx[()], herm_defect[()], ok[()])
 

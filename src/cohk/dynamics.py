@@ -20,16 +20,20 @@ the Hermitian mixed matrix Hm(z), it reads
 A spec's closed-form ``dH`` gives g directly.  Without one, g =
 (w[0::2] + i w[1::2]) / 2, where w is the central-difference gradient of H
 over the real coordinates [Re c0, Im c0, Re c1, ...] (_grad); that stencil
-is also the oracle the closed forms are tested against.  Each stage solves
-the equation in closed form on klauder (``KlauderSpace.mixed_solve``, whose
-Hm = K (P + a a*) Sherman-Morrison inverts) and from one eigh of
-S = Hm + Hm* elsewhere (_form_eigh); the eigh path stays as the closed
-solve's oracle.  Both give the extreme eigenvalues of S to one degeneracy
-test (_nondegenerate): the form is degenerate unless lambda_min and
-lambda_max are finite and 0 < lambda_min, 1e-12 lambda_max < lambda_min.
-A form that overflows is thus degenerate, and its overflow does not warn:
-propagate_ode's loop, hamiltonian_vector_field and symplectic_matrix each
-enter numpy's error state once, around all the stages they run.
+is also the oracle the closed forms are tested against.  One builder,
+_el_field, picks the derivative and the solve once per run, so a stage is
+arithmetic.  Every catalog complex chart solves S x = 2 g, S = Hm + Hm*,
+in closed form (its ``mixed_solve``): klauder's Hm = K (P + a a*) by
+Sherman-Morrison, hermitian's and sphere's Hm = I, and the scalar charts'
+1x1 Hm = h as g / Re h.  A space without a closed solve takes one eigh of
+S (_eigh_solve); that path stays as the closed solves' oracle.  Every
+solve gives the extreme eigenvalues of S to one degeneracy test
+(_nondegenerate): the form is degenerate unless lambda_min and lambda_max
+are finite and 0 < lambda_min, 1e-12 lambda_max < lambda_min.  A form that
+overflows or vanishes is thus degenerate, and its overflow or division
+does not warn: propagate_ode's loop, hamiltonian_vector_field and
+symplectic_matrix each enter numpy's error state once, around all the
+stages they run.
 
 symplectic_matrix keeps the realified 2-form, the real antisymmetric
 matrix A[a, b] = 2 Im M(E_a, E_b); Poisson brackets are
@@ -45,7 +49,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -378,21 +382,16 @@ def propagate_ode(space, ham, z0, t_end, dt):
                               f"which {space.space_id} does not have")
         points = _valid_rows(space, _rk4_points(ham, z0, n_steps, dt), meta)
         return Trajectory(dt * np.arange(len(points)), points, meta)
-    if ham.F is not None:
-        f = ham.F
-    elif not space.complex_chart:
-        raise _real_chart_error(space)
-    else:
-        def f(t, y):
-            return _el_velocity(space, ham.H, y, ham.hbar, stacked=ham.stacked, dH=ham.dH)
+    f = ham.F if ham.F is not None else _el_field(space, ham.H, ham.dH, ham.hbar, ham.stacked)
 
     # np.empty commits memory only for the rows a run reaches
     points = np.empty((n_steps + 1,) + np.shape(z0), dtype=np.asarray(z0).dtype)
     points[0] = z0
     # every step's label is validated, and every Euler-Lagrange stage tests
-    # its form for finiteness, so an overflow or a NaN ends the run as an
-    # abort, not as a warning; the stages enter no error state of their own
-    with np.errstate(over="ignore", invalid="ignore"):
+    # its form for finiteness, so an overflow, a division by a vanishing
+    # form or a NaN ends the run as an abort, not as a warning; the stages
+    # enter no error state of their own
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for i in range(n_steps):
             try:
                 y = _rk4_step(f, i * dt, y, dt)
@@ -487,17 +486,13 @@ def _form_eigh(space, z):
     raise _degenerate_error(z)
 
 
-def _mixed_solve(space, z, g):
-    """Hm^{-1} g at the label z, after the degeneracy test: from the
-    space's closed ``mixed_solve`` where it has one (klauder), else from one
-    eigh of S = Hm + Hm* (``_form_eigh``), as S^{-1} (2 g)."""
-    if type(space).mixed_solve is CoherentSpace.mixed_solve:
-        _, lam, V = _form_eigh(space, z)
-        return V @ ((V.conj().T @ (2.0 * g)) / lam)
-    x, lam_min, lam_max = space.mixed_solve(z, g)
-    if _nondegenerate(lam_min, lam_max):
-        return x
-    raise _degenerate_error(z)
+def _eigh_solve(space, z, g):
+    """S^{-1} (2 g) and the extreme eigenvalues of S = Hm + Hm*, from one
+    eigh (``_form_eigh``, which makes the degeneracy test): the solve of
+    spaces without a closed ``mixed_solve``, and the oracle of the closed
+    ones."""
+    _, lam, V = _form_eigh(space, z)
+    return V @ ((V.conj().T @ (2.0 * g)) / lam), lam[0], lam[-1]
 
 
 def symplectic_matrix(space, z):
@@ -523,28 +518,50 @@ def _grad(space, f, z, h=None, stacked=False):
     return (vals[:n] - vals[n:]) / (2.0 * h)
 
 
-def _el_velocity(space, H, z, hbar, stacked=False, dH=None):
-    """Velocity of the Euler-Lagrange field at the label z, in label form:
-    z' = -(i/hbar) Hm^{-1} g with g = dH(z) where ``dH`` is given, else
-    g = (w[0::2] + i w[1::2]) / 2 from the stencil gradient w of H.  The
-    solve (``_mixed_solve``) is closed-form on klauder and one eigh
-    elsewhere; either makes the degeneracy test, after the gradient."""
-    if dH is None:
-        w = _grad(space, H, z, stacked=stacked)
-        g = 0.5 * (w[0::2] + 1j * w[1::2])
+def _el_field(space, H, dH=None, hbar=1.0, stacked=False):
+    """The Euler-Lagrange field z' = -(i/hbar) Hm^{-1} g as f(t, z) on
+    labels in label form, with g = dH(z) where ``dH`` is given, else
+    g = (w[0::2] + i w[1::2]) / 2 from the stencil gradient w of H.
+
+    The derivative, the solve and the factor -i/hbar are chosen here, once
+    per run, so a stage is arithmetic: the space's closed ``mixed_solve``
+    (every catalog complex chart has one), else one eigh (``_eigh_solve``).
+    Each stage makes the degeneracy test after the gradient.  A real chart
+    raises DegenerateFormError here, before any stage.
+    """
+    if not space.complex_chart:
+        raise _real_chart_error(space)
+    if dH is not None:
+        grad = partial(_wirtinger, dH)
     else:
-        g = _wirtinger(dH, z)
-    v = (-1j / hbar) * _mixed_solve(space, z, g)
-    return complex(v[0]) if space.scalar_chart else v
+        def grad(z):
+            w = _grad(space, H, z, stacked=stacked)
+            return 0.5 * (w[0::2] + 1j * w[1::2])
+    if type(space).mixed_solve is CoherentSpace.mixed_solve:
+        solve = partial(_eigh_solve, space)
+    else:
+        solve = space.mixed_solve
+    factor = -1j / hbar
+    scalar = space.scalar_chart
+
+    def field(t, z):
+        x, lam_min, lam_max = solve(z, grad(z))
+        if not _nondegenerate(lam_min, lam_max):
+            raise _degenerate_error(z)
+        v = factor * x
+        return complex(v[0]) if scalar else v
+
+    return field
 
 
 def hamiltonian_vector_field(space, H, z, hbar=1.0, dH=None):
     """Euler-Lagrange field z' = -(i/hbar) Hm^{-1} dH/dconj(z) at z, as a
     tangent in label form; the derivative is ``dH(z)`` where given, else
-    the stencil gradient of H."""
+    the stencil gradient of H.  It is the stage ``propagate_ode`` runs."""
     z = space.validate(z)
-    with np.errstate(over="ignore", invalid="ignore"):
-        return _el_velocity(space, H, z, hbar, dH=dH)
+    field = _el_field(space, H, dH, hbar)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        return field(0.0, z)
 
 
 def poisson_bracket(space, f, g, z, hbar=1.0, grad_h=None):
@@ -569,7 +586,7 @@ def el_integrate(space, ham, z0, t_end, dt):
     """Integrate the coherent Euler-Lagrange equation i hbar Hm z' = dH/dconj(z)
     with RK4, taking the derivative (the spec's ``dH``, else the stencil
     gradient of H) and solving with Hm at every stage, in closed form on
-    klauder and from one eigh elsewhere."""
+    every catalog complex chart and from one eigh on other spaces."""
     if ham.H is None:
         raise DomainError("el_integrate needs a classical Hamiltonian")
     return propagate_ode(space, ham, z0, t_end, dt)

@@ -65,12 +65,25 @@ def _klauder_exponent(z, zp):
     the one exponent behind KlauderSpace.kernel and klauder_kernel.
 
     ``[()]`` turns the 0-d head of a single label into a numpy scalar, so a
-    single pair stays on numpy's fast scalar arithmetic: an el_integrate RK4
-    step on klauder makes 4 single-label calls (the closed mixed solve of
-    each stage), plus 4 more from a closed-form dH that evaluates the kernel
-    or 4 calls on a gradient stencil stack where the spec gives no dH.
+    single pair stays on numpy's fast scalar arithmetic.  An el_integrate
+    RK4 step on klauder with the CLI's closed dH makes no call: the closed
+    mixed solve and that dH take K(z, z) from ``_klauder_diagonal``.
+    Without a dH, H is evaluated on the gradient stencil, one call per
+    stage (4 per step) for the CLI's stacked H.
     """
     return np.conj(z[..., 0]) + zp[..., 0][()] + np.vecdot(z[_MODES], zp[_MODES])
+
+
+def _klauder_diagonal(z, n):
+    """K(z, z) = exp(2 Re z0 + n) for n = |zhat|^2, broadcast over stacked
+    labels: the exponential of the real part of ``_klauder_exponent(z, z)``,
+    whose imaginary part is 0 on the diagonal, so one real exponential
+    replaces a complex one.  It is within 1 ulp of ``kernel(z, z).real``
+    (bit for bit on most labels); callers that already have n pay no
+    second pass over the modes.  As in ``_klauder_exponent``, ``[()]``
+    keeps a single label on numpy's scalar arithmetic, whose real products
+    and sums round as the array loops do."""
+    return np.exp(z[..., 0][()].real * 2.0 + n)
 
 
 def klauder_kernel(z, zp):

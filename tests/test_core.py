@@ -19,7 +19,7 @@ from cohk.core import (
     potential,
     psd_check,
 )
-from cohk.catalog import make_space
+from cohk.catalog import default_spaces, make_space
 
 from conftest import SEED
 
@@ -344,3 +344,58 @@ def test_potential_cs_inequality(space, rng):
 def test_seed_is_stable():
     # the default seed is part of the reproducibility contract
     assert SEED == 0xC0FFEE
+
+
+def test_psd_check_takes_an_exactly_hermitian_matrix_as_its_own_hermitization(rng):
+    # an exactly Hermitian Gram reports defect 0, the others their defect;
+    # either way the eigenvalues are those of the Hermitized matrix, bit for bit
+    exact = []
+    for sp in default_spaces():
+        g = np.stack([gram(sp, sp.sample_points(rng, 12)) for _ in range(5)])
+        gh = np.conj(np.swapaxes(g, -1, -2))
+        rep = psd_check(g)
+        if np.array_equal(g, gh):
+            exact.append(sp.space_id)
+            assert np.array_equal(rep.hermiticity_defect, np.zeros(5))
+        else:
+            assert np.array_equal(rep.hermiticity_defect, np.abs(g - gh).max(axis=(-2, -1)))
+        s = _hermitized(g)
+        eigs = np.linalg.eigvalsh(s.real if not g.imag.any() else s)
+        assert np.array_equal(rep.min_eigenvalue, eigs[:, 0])
+        assert np.array_equal(rep.max_eigenvalue, eigs[:, -1])
+    # szego's and schur's quotients are Hermitian only to rounding
+    assert len(exact) == 6 and not {"szego", "schur(mobius)"} & set(exact)
+
+
+def test_psd_check_rows_do_not_depend_on_a_stack_of_hermitian_and_other_matrices(rng):
+    # exactly Hermitian matrices next to ones that are not: each row is its
+    # single call
+    sp = make_space("klauder", dim=1)
+    herm = gram(sp, sp.sample_points(rng, 6))
+    skew = herm.copy()
+    skew[0, 1] += 1e-9j
+    szego = make_space("szego")
+    near = gram(szego, szego.sample_points(rng, 6))
+    rep = psd_check(np.stack([herm, skew, near, herm]))
+    for i, gi in enumerate((herm, skew, near, herm)):
+        one = psd_check(gi)
+        assert (one.min_eigenvalue, one.max_eigenvalue, one.hermiticity_defect, one.passed) == (
+            rep.min_eigenvalue[i], rep.max_eigenvalue[i], rep.hermiticity_defect[i],
+            rep.passed[i])
+    assert rep.hermiticity_defect[0] == 0.0 and rep.hermiticity_defect[1] > 0.0
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, complex(0.0, math.nan),
+                                 complex(1.5e308, 1.5e308)],
+                         ids=["nan", "inf", "-inf", "nan-imag", "modulus-overflow"])
+def test_psd_check_rejects_entries_that_are_not_finite(bad):
+    g = np.eye(3, dtype=complex)
+    g[1, 2] = g[2, 1] = bad
+    with pytest.raises(DomainError, match="not finite or whose modulus overflows"):
+        psd_check(g)
+    with pytest.raises(DomainError, match="not finite or whose modulus overflows"):
+        psd_check(np.stack([np.eye(3), g]))
+    d = np.eye(3, dtype=complex)
+    d[0, 0] = bad
+    with pytest.raises(DomainError, match="not finite or whose modulus overflows"):
+        psd_check(d)

@@ -7,8 +7,9 @@ from functools import partial
 import numpy as np
 import pytest
 
+from cohk import dynamics
 from cohk.core import CoherentSpace, DegenerateFormError, DomainError
-from cohk.catalog import KlauderSpace, fd_LR, make_space, space_names
+from cohk.catalog import DeBrangesSpace, KlauderSpace, fd_LR, make_space, space_names
 from cohk.cli import _quadratic_energy, _quadratic_energy_dH
 from cohk.dynamics import (
     HamiltonianSpec,
@@ -17,6 +18,7 @@ from cohk.dynamics import (
     _form_eigh,
     _grad,
     _mixed_matrix,
+    _rk4_step,
     autocorrelation,
     df_action,
     el_integrate,
@@ -1018,3 +1020,112 @@ def test_klauder_el_stage_calls_neither_mixed_form_nor_eigh(monkeypatch):
         # the oracle path still goes through both
         with pytest.raises(AssertionError, match="left its closed solve"):
             symplectic_matrix(space, z0)
+
+
+# ---------------------------------------------------------------------------
+# one Euler-Lagrange field, with a closed solve on every catalog complex chart
+
+
+def _solve_labels(space, rng, n):
+    """n sampled labels, plus on de Branges three in the strip where its Hm
+    comes from the FD oracle."""
+    Z = space.sample_points(rng, n)
+    if isinstance(space, DeBrangesSpace):
+        Z = np.concatenate([Z, [0.3 + 5e-5j, -1.0 + 1e-6j, 0.7 - 3e-5j]])
+    return Z
+
+
+@pytest.mark.parametrize("space", _COMPLEX_CHARTS, ids=lambda s: s.space_id)
+def test_closed_mixed_solve_matches_the_eigh_oracle_on_every_complex_chart(space):
+    # S = 2 I on hermitian and sphere and the 1x1 S = 2 Re h on the scalar
+    # charts, so those match eigh bit for bit; klauder's Sherman-Morrison
+    # solve matches it to rounding (cond(S) is small on sampled labels)
+    rng = np.random.default_rng(SEED)
+    for z in _solve_labels(space, rng, 50):
+        g = np.reshape(space.sample_tangent(z, rng), -1)  # the stage's flat g
+        x, lam_min, lam_max = space.mixed_solve(z, g)
+        lam = _form_eigh(space, z)[1]
+        want = _eigh_solve(space, z, g)
+        if isinstance(space, KlauderSpace):
+            assert np.abs(x - want).max() <= 1e-13 * np.abs(want).max()
+            assert abs(lam_min - lam[0]) <= 1e-13 * lam[0]
+            assert abs(lam_max - lam[-1]) <= 1e-13 * lam[-1]
+        else:
+            assert np.array_equal(x, want)
+            assert (lam_min, lam_max) == (lam[0], lam[-1])
+
+
+@pytest.mark.parametrize("space", _COMPLEX_CHARTS, ids=lambda s: s.space_id)
+def test_closed_mixed_solve_stack_is_bitwise_the_per_label_solve_on_every_complex_chart(space):
+    rng = np.random.default_rng(SEED)
+    Z = _solve_labels(space, rng, 50)
+    G = space.sample_tangent(Z, rng)
+    X, lam_min, lam_max = space.mixed_solve(Z, G)
+    assert X.shape == Z.shape and np.shape(lam_min) == np.shape(lam_max) == Z.shape[:1]
+    for z, g, x, lo, hi in zip(Z, G, X, lam_min, lam_max):
+        one = space.mixed_solve(z, g)
+        assert np.array_equal(one[0], x) and one[1] == lo and one[2] == hi
+
+
+@pytest.mark.parametrize("space", _COMPLEX_CHARTS, ids=lambda s: s.space_id)
+def test_catalog_el_stage_never_reaches_eigh(space, monkeypatch):
+    def called(*args, **kwargs):
+        raise AssertionError("the EL stage left its closed solve")
+
+    monkeypatch.setattr(np.linalg, "eigh", called)
+    rng = np.random.default_rng(SEED)
+    for z0 in _solve_labels(space, rng, 1):
+        for closed in (True, False):
+            calls = []
+
+            def H(z):
+                calls.append(z)
+                return _smooth_H(z)
+
+            def dH(z):
+                calls.append(z)
+                return _smooth_dH(z)
+
+            ham = HamiltonianSpec(H=H, dH=dH if closed else None)
+            traj = el_integrate(space, ham, z0, 0.05, 1e-2)
+            # sphere and schur labels leave the domain within the horizon,
+            # after whole steps of stages
+            assert len(calls) >= 4
+            assert "degenerate" not in traj.meta.get("reason", "")
+            hamiltonian_vector_field(space, _smooth_H, z0, dH=dH if closed else None)
+    # the oracle path still goes through eigh
+    with pytest.raises(AssertionError, match="left its closed solve"):
+        symplectic_matrix(space, z0)
+
+
+@pytest.mark.parametrize("space", _COMPLEX_CHARTS + [_UserKlauder()], ids=lambda s: s.space_id)
+def test_first_rk4_stage_is_bitwise_the_hamiltonian_vector_field(space, monkeypatch):
+    # propagate_ode builds the field once per run and hamiltonian_vector_field
+    # runs the same stage, so the first stage of a run is its value at z0
+    stages = []
+
+    def spy(f, t, y, dt):
+        stages.append(f(t, y))
+        return _rk4_step(f, t, y, dt)
+
+    monkeypatch.setattr(dynamics, "_rk4_step", spy)
+    # the user space (the eigh solve) draws its label as klauder(1) does
+    sampler = make_space("klauder") if isinstance(space, _UserKlauder) else space
+    z0 = space.validate(sampler.sample_point(np.random.default_rng(SEED)))
+    for dH in (_smooth_dH, None):
+        stages.clear()
+        el_integrate(space, HamiltonianSpec(H=_smooth_H, dH=dH, hbar=0.8), z0, 0.01, 1e-2)
+        want = hamiltonian_vector_field(space, _smooth_H, z0, hbar=0.8, dH=dH)
+        assert type(stages[0]) is type(want)
+        assert np.array_equal(stages[0], want)
+
+
+def test_el_stage_at_a_vanishing_kernel_is_degenerate_without_warning():
+    # K(z, z) = e^{-800} underflows to 0: the solve divides by it, and the
+    # degeneracy test, not a RuntimeWarning (an error here), ends the stage
+    space = make_space("klauder")
+    z = np.array([-400.0, 1.0], dtype=complex)
+    with pytest.raises(DegenerateFormError, match="degenerate"):
+        hamiltonian_vector_field(space, lambda z: z[0].real, z)
+    traj = el_integrate(space, HamiltonianSpec(H=lambda z: z[0].real), z, 0.05, 1e-2)
+    assert len(traj) == 1 and "degenerate" in traj.meta["reason"]
