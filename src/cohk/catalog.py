@@ -740,11 +740,15 @@ def _fd_theta(space, z, X):
 def _closed_or_fd(space, closed, fd, z, *tangents):
     """closed(z, *tangents) on the cases where the space has closed
     geometry and fd(z, *tangents) on the others, each run only on its own
-    cases, as one flat stack of them."""
+    cases, as one flat stack of them.  When every case is closed, closed
+    runs once on the arguments as given, its value broadcast to the stack."""
     args = [np.asarray(a) for a in (z, *tangents)]
     tail = () if space.scalar_chart else args[0].shape[-1:]
     shape = np.broadcast_shapes(*(a.shape[:a.ndim - len(tail)] for a in args))
-    ok = np.broadcast_to(space.has_closed_geometry(z), shape)
+    closed_here = space.has_closed_geometry(z)
+    if np.all(closed_here):
+        return np.broadcast_to(closed(*args), shape).astype(complex)[()]
+    ok = np.broadcast_to(closed_here, shape)
     out = np.empty(shape, dtype=complex)
     for cases, form in ((ok, closed), (~ok, fd)):
         if cases.any():

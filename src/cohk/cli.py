@@ -86,10 +86,9 @@ from .fock import (
 )
 from .spectral import (
     _alias_guard,
+    _resolvent_checks,
     oscillator_series,
-    resolvent_element,
     resolvent_equation_residual,
-    resolvent_symmetry_residual,
     schwinger_dyson_residual,
     spectral_density,
     spectrum_scan,
@@ -600,9 +599,7 @@ def _run_resolvent(ctx):
     if E.imag <= 0:
         raise ConfigError("params.E: needs a positive imaginary part")
     ham = HamiltonianSpec(gen=p["gen"])
-    g = resolvent_element(ham, z, zp, E, t_max=t_max, dt=dt)
-    eq = resolvent_equation_residual(ham, z, zp, E, t_max=t_max, dt=dt)
-    sym = resolvent_symmetry_residual(ham, z, zp, E, t_max=t_max, dt=dt)
+    g, eq, sym = _resolvent_checks(ham, z, zp, E, t_max=t_max, dt=dt)
     scale = max(1.0, abs(ctx.space.kernel(z, zp)))
     checks = [
         _check_le("resolvent_equation_residual", eq, p["eq_tol"]),

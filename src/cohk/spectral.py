@@ -20,8 +20,9 @@ damped one-sided quadrature
 produces resolvent matrix elements, plain complex numbers, for Im E > 0
 (the sign is fixed by the zero-generator case G(E) = K/E); the resolvent
 equation residual integrates its H G term over the same flow.  Fourier sums
-over a uniform energy grid are one chirp-z (Bluestein) convolution, so
-energy grids must be uniform.  Negative times are synthesized from
+over a uniform energy grid go through one routine, ``_uniform_fourier``: a
+direct sum for a few energies and one chirp-z (Bluestein) convolution for
+more, so energy grids must be uniform.  Negative times are synthesized from
 K_{-t}(z, z') = conj(K_t(z', z)) rather than integrated.  The Schwinger-Dyson
 residual takes a stack of cases and evaluates all their flows in one call.
 """
@@ -139,15 +140,24 @@ def eigencomponent_overlap(space, zp, traj, E, T):
 # line spectrum
 
 
+# Grids of at most this many energies take the direct sum: its O(N) per
+# energy beats the chirp-z's O(S log S) for any grid below 4-5 energies
+# (measured at N = 1e4 and 5e4 samples).
+_DIRECT_ENERGIES = 4
+
+
 def _uniform_fourier(x, t0, dt, E_grid, iota):
     """sum_j x_j e^{iota E_k t_j} with t_j = t0 + j dt, for every E_k of a
-    uniform grid, as one chirp-z (Bluestein) convolution.
+    uniform grid (other grids raise DomainError).
 
-    With E_k = E_0 + k dE, the cross term e^{a k j} (a = iota dE dt) splits
-    by k j = (k^2 + j^2 - (k - j)^2) / 2 into two chirps around a
-    convolution, which numpy.fft evaluates in O((N + M) log(N + M)).  The
-    chirp phases come from exact integer squares, so their rounding is
-    that of one product rather than of a running sum.
+    Up to _DIRECT_ENERGIES energies this is the direct sum of
+    e^{iota E t_j} x_j, whose phases round as eps |E t_j| per sample.
+    Larger grids are one chirp-z (Bluestein) convolution: with
+    E_k = E_0 + k dE, the cross term e^{a k j} (a = iota dE dt) splits by
+    k j = (k^2 + j^2 - (k - j)^2) / 2 into two chirps around a convolution,
+    which numpy.fft evaluates in O((N + M) log(N + M)).  The chirp phases
+    come from exact integer squares, so their rounding is that of one
+    product rather than of a running sum.
     """
     x = np.asarray(x, dtype=complex)
     E = np.atleast_1d(np.asarray(E_grid, dtype=float))
@@ -158,6 +168,10 @@ def _uniform_fourier(x, t0, dt, E_grid, iota):
     drift = np.abs(E - (E[0] + dE * np.arange(m))).max()
     if drift > 1e-12 * max(1.0, abs(E[0]), abs(E[-1])):
         raise DomainError("energy grid must be uniformly spaced")
+    if m <= _DIRECT_ENERGIES:
+        # numpy's pairwise sum, not a BLAS product: a threaded BLAS would
+        # round by the machine's thread count
+        return (np.exp(iota * np.outer(E, t0 + dt * np.arange(n))) * x).sum(axis=1)
     half_a = 0.5 * iota * dE * dt
     j, k, neg = np.arange(n), np.arange(m), np.arange(1 - n, 0)
     k2 = (k * k).astype(float)
@@ -187,13 +201,17 @@ def _alias_guard(E_grid, dt, hbar):
 def spectrum_scan(series, E_grid, swapped=None, floor=1e-4):
     """Locate spectral lines by a Hann-windowed scan of the autocorrelation.
 
-    The grid must be uniform (the scan is one chirp-z transform; other
-    grids raise DomainError), at least as fine as hbar pi/T in energy
-    (Rayleigh limit of the window, which doubles the raw resolution), and
-    span less than the band 2 pi hbar/dt (``_alias_guard``).  Peaks
-    are refined twice by parabolic interpolation on 3-point grids and
-    re-evaluated at the refined energy; the Hann coherent gain of 0.5 is
-    divided out of the weight.
+    The grid must be uniform (the scan is one ``_uniform_fourier`` sum, a
+    chirp-z transform past 4 energies; other grids raise DomainError), at
+    least as fine as hbar pi/T in energy (Rayleigh limit of the window,
+    which doubles the raw resolution), and span less than the band
+    2 pi hbar/dt (``_alias_guard``).  Peaks
+    are refined twice by parabolic interpolation on 3-point grids: the
+    first is the scan's own three samples around the peak, the second a
+    grid a quarter as wide around the refined energy.  Each line is then
+    re-evaluated at its refined energy, so it costs 4 direct-sum energies
+    and no further transform; the Hann coherent gain of 0.5 is divided out
+    of the weight.
     """
     E_grid = np.asarray(E_grid, dtype=float)
     if len(E_grid) < 3:
@@ -243,16 +261,19 @@ def spectrum_scan(series, E_grid, swapped=None, floor=1e-4):
                 break
         if keep:
             accepted.append(i)
+
+    def vertex(e, h, m3):
+        # the parabola's vertex through m3 at e - h, e, e + h, if it opens down
+        denom = m3[0] - 2.0 * m3[1] + m3[2]
+        return e + 0.5 * h * (m3[0] - m3[2]) / denom if denom < 0.0 else e
+
     lines = []
     for i in accepted:
-        e_ref = E_grid[i]
-        h = cell
-        for _ in range(2):
-            m3 = windowed([e_ref - h, e_ref, e_ref + h])
-            denom = m3[0] - 2.0 * m3[1] + m3[2]
-            if denom < 0.0:
-                e_ref += 0.5 * h * (m3[0] - m3[2]) / denom
-            h /= 4.0
+        # round 1 reads the scan's own E_grid[i-1..i+1]; round 2 evaluates a
+        # 3-point grid a quarter as wide around the refined energy
+        e_ref = vertex(E_grid[i], cell, mag[i - 1:i + 2])
+        h = cell / 4.0
+        e_ref = vertex(e_ref, h, windowed([e_ref - h, e_ref, e_ref + h]))
         c_star = windowed([e_ref])[0]
         lines.append(SpectralLine(float(e_ref), float(c_star / 0.5)))
     lines.sort(key=lambda L: L.energy)
@@ -295,10 +316,19 @@ def resolvent_element(ham, z, zp, E, t_max=0.0, dt=1e-2):
     """<z| (E - H)^{-1} |z'> = -iota integral_0^tmax e^{iota t E} K_t dt.
 
     t_max defaults to the point where the damping e^{-Im E t / hbar} falls
-    below 1e-12.
+    below 1e-12.  One flow of z'.
     """
     g, = _resolvent_quadrature(ham, z, zp, E, t_max, dt, klauder_kernel)
     return complex(g)
+
+
+def _symmetry_gap(ham, z, zp, E, t_max, dt, g):
+    """|g - conj(G(conj E)(z',z))| for g = G(E)(z,z'), by the backward
+    quadrature of resolvent_symmetry_residual."""
+    gen = ham.gen
+    back = replace(ham, gen=OscGenerator(-gen.rho, -gen.p, -gen.q, -gen.X))
+    b, = _resolvent_quadrature(back, zp, z, -np.conj(complex(E)), t_max, dt, klauder_kernel)
+    return abs(g + np.conj(b))
 
 
 def resolvent_symmetry_residual(ham, z, zp, E, t_max=0.0, dt=1e-2):
@@ -306,12 +336,9 @@ def resolvent_symmetry_residual(ham, z, zp, E, t_max=0.0, dt=1e-2):
     quadrature: the swapped element integrates the backward flow of z
     against z', so no value is reused between the two routes.  The backward
     flow is the forward flow of -gen, and its quadrature at -conj(E) (in the
-    upper half-plane) is -conj(G(conj E)(z',z)); negation is exact."""
-    g = resolvent_element(ham, z, zp, E, t_max, dt)
-    gen = ham.gen
-    back = replace(ham, gen=OscGenerator(-gen.rho, -gen.p, -gen.q, -gen.X))
-    b, = _resolvent_quadrature(back, zp, z, -np.conj(complex(E)), t_max, dt, klauder_kernel)
-    return abs(g + np.conj(b))
+    upper half-plane) is -conj(G(conj E)(z',z)); negation is exact.  Two
+    flows: the forward one of resolvent_element and the backward one."""
+    return _symmetry_gap(ham, z, zp, E, t_max, dt, resolvent_element(ham, z, zp, E, t_max, dt))
 
 
 def _resolvent_at_root(ham, z, zp, root, eta, dt):
@@ -364,8 +391,9 @@ def rational_element(ham, z, zp, A_roots, B_coeffs, eta=0.05, spectrum=None, dt=
 
 def spectral_density(ham, z, zp, E_grid, eta, dt=1e-2):
     """-(1/pi) Im G(E + i eta) on a uniform energy grid, from one shared
-    series and one chirp-z transform; other grids, and grids that reach
-    the band 2 pi hbar/dt (``_alias_guard``), raise DomainError."""
+    series and one Fourier sum (``_uniform_fourier``: one chirp-z
+    transform past 4 energies); other grids, and grids that reach the band
+    2 pi hbar/dt (``_alias_guard``), raise DomainError."""
     if not 0.0 < eta < math.inf:
         raise DomainError("eta must be finite and positive")
     hbar = ham.hbar
@@ -438,13 +466,29 @@ def schwinger_dyson_residual(ham, z, zp, t):
     return float(res[0]) if cases == () else res.reshape(cases)
 
 
+def _equation_quadrature(ham, z, zp, E, t_max, dt):
+    """G(E) and resolvent_equation_residual's value, from one flow."""
+    g, og = _resolvent_quadrature(ham, z, zp, E, t_max, dt, klauder_kernel,
+                                  lambda z, pts: dgamma_element(ham.gen, z, pts))
+    k = klauder_kernel(z, zp)
+    return g, abs(E * g - og - k) / abs(k)
+
+
 def resolvent_equation_residual(ham, z, zp, E, t_max=0.0, dt=1e-2):
     """|E G(E) - <z| H G(E) |z'> - K(z,z')| / |K(z,z')|.
 
     The H G term integrates the dGamma element over the same flow points
-    and damped quadrature as G itself.
+    and damped quadrature as G itself, so the residual costs one flow.
     """
-    g, og = _resolvent_quadrature(ham, z, zp, E, t_max, dt, klauder_kernel,
-                                  lambda z, pts: dgamma_element(ham.gen, z, pts))
-    k = klauder_kernel(z, zp)
-    return abs(E * g - og - k) / abs(k)
+    return _equation_quadrature(ham, z, zp, E, t_max, dt)[1]
+
+
+def _resolvent_checks(ham, z, zp, E, t_max, dt):
+    """(resolvent_element, resolvent_equation_residual,
+    resolvent_symmetry_residual) at the same arguments, bit for bit, from
+    two flows where the three calls build four: the forward quadrature
+    yields G(E) and the equation residual together, and the symmetry
+    residual reuses that G(E) beside its backward quadrature."""
+    g, eq = _equation_quadrature(ham, z, zp, E, t_max, dt)
+    g = complex(g)
+    return g, eq, _symmetry_gap(ham, z, zp, E, t_max, dt, g)

@@ -828,3 +828,21 @@ def test_single_label_tangents_keep_their_draws(space):
         assert np.asarray(X).tobytes() == np.asarray(want).tobytes()
     # both streams consumed the same draws
     assert rng.normal() == ref.normal()
+
+
+@pytest.mark.parametrize("space", [make_space("szego"), make_space("schur", preset="mobius"),
+                                   make_space("debranges", preset="exp")],
+                         ids=lambda s: s.space_id)
+def test_single_label_mixed_is_the_closed_form_bit_for_bit(space, rng):
+    # every label closed: _mixed runs mixed_form once, with no scatter/gather
+    from cohk.catalog import _mixed
+
+    Z, X, Y = _stacked_cases(space, rng, 20)
+    assert np.all(space.has_closed_geometry(Z))
+    for z, x, y in zip(Z, X, Y):
+        got = _mixed(space, z, x, y)
+        assert type(got) is np.complex128
+        assert got == space.mixed_form(z, x, y)
+    stack = _mixed(space, Z, X, Y)
+    assert stack.dtype == complex and stack.shape == (20,)
+    assert np.array_equal(stack, space.mixed_form(Z, X, Y))

@@ -520,3 +520,45 @@ def test_only_plain_names_of_a_parsed_report_are_removed(tmp_path, report):
                out_flag=str(out))
     for path in (tmp_path / "keep.csv", out / "sub" / "keep.csv", out / "keep.csv"):
         assert path.read_text() == "x"
+
+
+@pytest.mark.parametrize("zp", [None, [[0.2, 0.1], [0.4, -0.3]]], ids=["diagonal", "off-diagonal"])
+def test_resolvent_runner_builds_two_flows_and_reports_the_public_values(
+        tmp_path, monkeypatch, zp):
+    import cohk.spectral
+    from cohk.spectral import (
+        resolvent_element,
+        resolvent_equation_residual,
+        resolvent_symmetry_residual,
+    )
+
+    flows, seen = [], []
+    inner_flow, inner_checks = cohk.spectral._flow_points, cohk.cli._resolvent_checks
+
+    def flow(*args):
+        flows.append(None)
+        return inner_flow(*args)
+
+    def checks(*args, **kwargs):
+        seen.append((args, kwargs))
+        return inner_checks(*args, **kwargs)
+
+    monkeypatch.setattr(cohk.spectral, "_flow_points", flow)
+    monkeypatch.setattr(cohk.cli, "_resolvent_checks", checks)
+    params = {"z": [[-0.5, 0.0], [1.0, 0.2]], "E": [0.7, 0.1]}
+    if zp is not None:
+        params["zp"] = zp
+    out = tmp_path / "out"
+    run_config(_write_config(tmp_path, _base("resolvent", params=params)), out_flag=str(out))
+    assert len(flows) == 2 and len(seen) == 1
+    (ham, z, zq, E), kw = seen[0]
+    g = resolvent_element(ham, z, zq, E, **kw)
+    eq = resolvent_equation_residual(ham, z, zq, E, **kw)
+    sym = resolvent_symmetry_residual(ham, z, zq, E, **kw)
+    assert np.array_equal(zq, z) == (zp is None)
+    row = (out / "resolvent.csv").read_text().splitlines()[1].split(",")
+    assert [float(v) for v in row[2:]] == [g.real, g.imag]
+    values = {c["name"]: c["value"]
+              for c in json.loads((out / "report.json").read_text())["checks"]}
+    scale = max(1.0, abs(cohk.catalog.make_space("klauder", dim=1).kernel(z, zq)))
+    assert values == {"resolvent_equation_residual": eq, "symmetry_residual_over_scale": sym / scale}

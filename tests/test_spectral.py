@@ -22,8 +22,11 @@ from cohk.fock import (
     osc_act,
     osc_from_block,
 )
+import cohk.spectral
 from cohk.spectral import (
+    _DIRECT_ENERGIES,
     _flow_points,
+    _resolvent_checks,
     _uniform_fourier,
     eigencomponent_overlap,
     kt_roundtrip_residual,
@@ -543,3 +546,81 @@ def test_non_uniform_grids_are_rejected(harmonic_series):
         spectral_density(ham, Z0, Z0, [0.0, 1.0, 3.0], 0.05)
     with pytest.raises(DomainError, match="uniform"):
         _uniform_fourier(np.ones(5), 0.0, 0.1, [0.0, 0.1, 0.2 + 1e-6], 1j)
+
+
+def _counting(monkeypatch, owner, name):
+    """Replace owner.name by a wrapper that counts its calls."""
+    calls = []
+    inner = getattr(owner, name)
+
+    def wrapper(*args, **kwargs):
+        calls.append(None)
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, wrapper)
+    return calls
+
+
+@pytest.mark.parametrize("m", range(1, _DIRECT_ENERGIES + 1))
+def test_uniform_fourier_direct_sum_matches_the_dense_oracle(monkeypatch, m):
+    rng = np.random.default_rng(SEED)
+    x = rng.normal(size=10_055) + 1j * rng.normal(size=10_055)
+    E = 0.97 + 0.003 * np.arange(m)
+    ffts = _counting(monkeypatch, np.fft, "fft")
+    _assert_fourier_agrees(x, -251.35, 0.05, E, 1j)
+    _assert_fourier_agrees(x, 3.0, 0.05, E, 1j / 0.7)
+    assert ffts == []
+
+
+def test_uniform_fourier_just_past_the_crossover_is_one_chirp(monkeypatch):
+    rng = np.random.default_rng(SEED)
+    x = rng.normal(size=10_055) + 1j * rng.normal(size=10_055)
+    E = 0.97 + 0.003 * np.arange(_DIRECT_ENERGIES + 1)
+    ffts = _counting(monkeypatch, np.fft, "fft")
+    _assert_fourier_agrees(x, -251.35, 0.05, E, 1j)
+    assert len(ffts) == 2
+
+
+@pytest.mark.parametrize("E_max, n_lines", [(0.5, 1), (4.5, 5)])
+def test_scan_makes_one_chirp_whatever_the_line_count(monkeypatch, harmonic_series,
+                                                      E_max, n_lines):
+    ffts = _counting(monkeypatch, np.fft, "fft")
+    lines = spectrum_scan(harmonic_series, np.arange(-0.5, E_max, 0.004))
+    assert len(lines) == n_lines
+    assert len(ffts) == 2
+
+
+def test_scan_refinement_reads_the_scan_grid_then_four_energies(monkeypatch, harmonic_series):
+    # the direct sum sees 3 energies (round 2) and 1 (the final weight) per line
+    sizes = []
+    inner = cohk.spectral._uniform_fourier
+
+    def spy(x, t0, dt, E_grid, iota):
+        sizes.append(len(np.atleast_1d(E_grid)))
+        return inner(x, t0, dt, E_grid, iota)
+
+    monkeypatch.setattr(cohk.spectral, "_uniform_fourier", spy)
+    grid = np.arange(-0.5, 4.5, 0.004)
+    lines = spectrum_scan(harmonic_series, grid)
+    assert sizes == [len(grid)] + [3, 1] * len(lines)
+
+
+@pytest.mark.parametrize("zp", [Z0, np.array([0.2 + 0.1j, 0.4 - 0.3j])],
+                         ids=["diagonal", "off-diagonal"])
+@pytest.mark.parametrize("t_max", [0.0, 30.0])
+def test_resolvent_checks_are_the_public_values_from_two_flows(monkeypatch, zp, t_max):
+    gen = OscGenerator(0.1, np.array([0.3 + 0.1j]), np.array([0.3 + 0.1j]),
+                       np.array([[1.0]]))
+    ham = HamiltonianSpec(gen=gen)
+    E = 0.5 + 0.1j
+    flows = _counting(monkeypatch, cohk.spectral, "_flow_points")
+    g, eq, sym = _resolvent_checks(ham, Z0, zp, E, t_max=t_max, dt=1e-2)
+    assert len(flows) == 2
+    assert isinstance(g, complex)
+    want = (resolvent_element(ham, Z0, zp, E, t_max, 1e-2),
+            resolvent_equation_residual(ham, Z0, zp, E, t_max, 1e-2),
+            resolvent_symmetry_residual(ham, Z0, zp, E, t_max, 1e-2))
+    # one flow for the element, one for the equation residual, two for symmetry
+    assert len(flows) == 2 + 1 + 1 + 2
+    assert (g, eq, sym) == want
+    assert [type(v) for v in (g, eq, sym)] == [type(v) for v in want]
