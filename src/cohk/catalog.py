@@ -80,7 +80,9 @@ __all__ = [
 
 
 def _finite(arr):
-    return bool(np.isfinite(arr).all())
+    # count_nonzero skips the reduction machinery of .all(), which costs
+    # more than the test itself on one label
+    return np.count_nonzero(np.isfinite(arr)) == arr.size
 
 
 class _CatalogSpace(CoherentSpace):
@@ -283,9 +285,12 @@ class KlauderSpace(_VectorSpace):
         # single label takes the scalar one)
         x = g - z * g[..., :1]
         x[..., 0] = (1.0 + n) * g[..., 0][()] - np.vecdot(zh, g[..., 1:])
-        x /= k[..., None]
+        # a single label divides by its 0-d K as it is, not as a 1-element
+        # array: the same quotients, without making that array every stage
+        x /= k[..., None] if k.ndim else k
         mu = 0.5 * ((2.0 + n) + np.sqrt(n * (n + 4.0)))
-        return x, 2.0 * k / mu, 2.0 * k * mu
+        two_k = 2.0 * k
+        return x, two_k / mu, two_k * mu
 
 
 # ---------------------------------------------------------------------------

@@ -629,9 +629,8 @@ def _quadratic_energy_dH(space):
         zh = z[..., 1:]
         n = np.vecdot(zh, zh).real
         k = _klauder_diagonal(z, n)
-        out = np.empty(z.shape, dtype=complex)
+        out = (k * (n + 1.0))[..., None] * z
         out[..., 0] = k * n
-        out[..., 1:] = (k * (n + 1.0))[..., None] * zh
         return out
 
     return dH

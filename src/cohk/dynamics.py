@@ -17,12 +17,16 @@ the Hermitian mixed matrix Hm(z), it reads
 
     i hbar Hm(z) z' = dH/dconj(z) = g.
 
-A spec's closed-form ``dH`` gives g directly.  Without one, g =
+A spec's closed-form ``dH`` gives g directly: the stage checks that its
+result has the label's shape (a TypeError otherwise) and hands it to the
+solve as it is, a scalar chart's number as a 1-element g.  Without one, g =
 (w[0::2] + i w[1::2]) / 2, where w is the central-difference gradient of H
 over the real coordinates [Re c0, Im c0, Re c1, ...] (_grad); that stencil
 is also the oracle the closed forms are tested against.  One builder,
 _el_field, picks the derivative and the solve once per run, so a stage is
-arithmetic.  Every catalog complex chart solves S x = 2 g, S = Hm + Hm*,
+arithmetic.  No stage or RK4 step writes into an array it did not make, so
+a user's F, dH or mixed_solve may return its input or one cached array.
+Every catalog complex chart solves S x = 2 g, S = Hm + Hm*,
 in closed form (its ``mixed_solve``): klauder's Hm = K (P + a a*) by
 Sherman-Morrison, hermitian's and sphere's Hm = I, and the scalar charts'
 1x1 Hm = h as g / Re h.  A space without a closed solve takes one eigh of
@@ -117,7 +121,10 @@ class HamiltonianSpec:
     stencil or trajectory.  The optional ``dH`` is H's Wirtinger
     derivative dH/dconj(z), returned in label form with the shape of its
     label (and broadcast like H if ``stacked``); the Euler-Lagrange stages
-    use it in place of the finite-difference gradient of H.
+    use it in place of the finite-difference gradient of H, and a result of
+    any other shape raises TypeError out of the integrator.  The
+    integrators write into neither the labels they pass nor the arrays F
+    and dH return, so either may return its input or one cached array.
     """
 
     gen: object = None
@@ -296,15 +303,6 @@ def oscillator_field(gen, hbar=1.0):
 # chart utilities (realification of tangents, H on stacked labels)
 
 
-def _wirtinger(dH, z):
-    """dH(z) for one label, flat: a result not in the label's shape raises
-    TypeError, as a malformed stacked H does in ``_values``."""
-    g = np.asarray(dH(z), dtype=complex)
-    if g.shape != np.shape(z):
-        raise TypeError(f"dH returned shape {g.shape} for a label of shape {np.shape(z)}")
-    return g.reshape(-1)
-
-
 def _values(H, Z, stacked):
     """Values of H on the labels Z, stacked along the first axis: one call
     if ``stacked``, else one call per label.  A stacked result of any other
@@ -344,9 +342,10 @@ def _real_basis(space):
 
 
 def _rk4_step(f, t, y, dt):
+    h = dt / 2.0
     k1 = f(t, y)
-    k2 = f(t + dt / 2.0, y + dt / 2.0 * k1)
-    k3 = f(t + dt / 2.0, y + dt / 2.0 * k2)
+    k2 = f(t + h, y + h * k1)
+    k3 = f(t + h, y + h * k2)
     k4 = f(t + dt, y + dt * k3)
     return y + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
@@ -531,8 +530,16 @@ def _el_field(space, H, dH=None, hbar=1.0, stacked=False):
     """
     if not space.complex_chart:
         raise _real_chart_error(space)
+    scalar = space.scalar_chart
     if dH is not None:
-        grad = partial(_wirtinger, dH)
+        def grad(z):
+            # a malformed spec raises TypeError, as a malformed stacked H
+            # does in ``_values``
+            g = np.asarray(dH(z), dtype=complex)
+            shape = () if scalar else z.shape
+            if g.shape != shape:
+                raise TypeError(f"dH returned shape {g.shape} for a label of shape {shape}")
+            return g.reshape(1) if scalar else g
     else:
         def grad(z):
             w = _grad(space, H, z, stacked=stacked)
@@ -542,7 +549,6 @@ def _el_field(space, H, dH=None, hbar=1.0, stacked=False):
     else:
         solve = space.mixed_solve
     factor = -1j / hbar
-    scalar = space.scalar_chart
 
     def field(t, z):
         x, lam_min, lam_max = solve(z, grad(z))
@@ -586,7 +592,15 @@ def el_integrate(space, ham, z0, t_end, dt):
     """Integrate the coherent Euler-Lagrange equation i hbar Hm z' = dH/dconj(z)
     with RK4, taking the derivative (the spec's ``dH``, else the stencil
     gradient of H) and solving with Hm at every stage, in closed form on
-    every catalog complex chart and from one eigh on other spaces."""
+    every catalog complex chart and from one eigh on other spaces.
+
+    On ``sphere`` the solve takes Hm = I in the ambient chart, so the
+    velocity is not tangent to the sphere: the labels leave it and
+    ``validate`` ends the run with the reason "point is not on the unit
+    sphere", for a generic H after the first step.  A tangent solve is
+    still open: the 2-form restricted to the sphere is degenerate along the
+    phase direction.
+    """
     if ham.H is None:
         raise DomainError("el_integrate needs a classical Hamiltonian")
     return propagate_ode(space, ham, z0, t_end, dt)

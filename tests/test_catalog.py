@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from cohk import catalog
 from cohk.core import MAX_SIZE, DomainError, gram, psd_check
 from cohk.catalog import (
     DeBrangesSpace,
@@ -560,6 +561,21 @@ def test_contains_is_false_on_every_bad_label(space):
         assert space.contains(label) is False, name
         with pytest.raises(DomainError):
             space.validate(label)
+
+
+_INF, _NAN = float("inf"), float("nan")
+
+
+@pytest.mark.parametrize("arr", [
+    np.array([0.5, -2.0]), np.array([0.5, _INF]), np.array([-_INF, 1.0]),
+    np.array([[1.0, _NAN], [2.0, 3.0]]), np.array([0.5 + 1j, 2.0 + 0j]),
+    np.array([0.5 + 1j, complex(2.0, _INF)]), np.array([complex(_NAN, 0.0)]),
+    np.array([]), np.empty((0, 3), dtype=complex),
+], ids=["finite", "+inf", "-inf", "nan", "complex", "inf-imag", "nan-real", "empty",
+        "empty-stack"])
+def test_finite_is_isfinite_all(arr):
+    got = catalog._finite(arr)
+    assert type(got) in (bool, np.bool_) and got == np.isfinite(arr).all()
 
 
 def test_user_space_keeps_the_per_label_stack():

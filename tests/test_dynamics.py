@@ -571,9 +571,15 @@ def test_dH_of_the_wrong_shape_raises_type_error():
         el_integrate(space, ham, Z0, 0.1, 1e-2)
     with pytest.raises(TypeError, match=r"shape \(1,\) for a label of shape \(2,\)"):
         hamiltonian_vector_field(space, quadratic_H, Z0, dH=lambda z: z[:1])
+    # a result with the label's size but not its shape is malformed too
+    with pytest.raises(TypeError, match=r"shape \(2, 1\) for a label of shape \(2,\)"):
+        hamiltonian_vector_field(space, quadratic_H, Z0, dH=lambda z: z[:, None])
     szego = make_space("szego")
     with pytest.raises(TypeError, match=r"shape \(1,\) for a label of shape \(\)"):
         hamiltonian_vector_field(szego, _smooth_H, 0.3 + 0.1j, dH=lambda z: np.atleast_1d(z))
+    with pytest.raises(TypeError, match=r"shape \(1, 1\) for a label of shape \(\)"):
+        el_integrate(szego, HamiltonianSpec(H=_smooth_H, dH=lambda z: np.full((1, 1), z)),
+                     0.3 + 0.1j, 0.1, 1e-2)
 
 
 @pytest.mark.parametrize("name", ["euclidean", "reciprocal"])
@@ -1129,3 +1135,134 @@ def test_el_stage_at_a_vanishing_kernel_is_degenerate_without_warning():
         hamiltonian_vector_field(space, lambda z: z[0].real, z)
     traj = el_integrate(space, HamiltonianSpec(H=lambda z: z[0].real), z, 0.05, 1e-2)
     assert len(traj) == 1 and "degenerate" in traj.meta["reason"]
+
+
+# ---------------------------------------------------------------------------
+# the Euler-Lagrange loop against its plain expressions, written out here:
+# the optimized stage and step must reproduce them bit for bit
+
+
+def _plain_rk4(f, z0, n_steps, dt):
+    """RK4 as y + dt/6 (k1 + 2 k2 + 2 k3 + k4), each stage's half step
+    formed afresh, stacked with the starting label."""
+    y, points = z0, [z0]
+    for i in range(n_steps):
+        t = i * dt
+        k1 = f(t, y)
+        k2 = f(t + dt / 2.0, y + dt / 2.0 * k1)
+        k3 = f(t + dt / 2.0, y + dt / 2.0 * k2)
+        k4 = f(t + dt, y + dt * k3)
+        y = y + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        points.append(y)
+    return np.array(points)
+
+
+def _plain_klauder_solve(z, g):
+    """KlauderSpace.mixed_solve with K spread over the coordinates on every
+    label and 2 K formed twice."""
+    zh = z[..., 1:]
+    n = np.vecdot(zh, zh).real
+    k = np.exp(z[..., 0][()].real * 2.0 + n)
+    x = g - z * g[..., :1]
+    x[..., 0] = (1.0 + n) * g[..., 0][()] - np.vecdot(zh, g[..., 1:])
+    x /= k[..., None]
+    mu = 0.5 * ((2.0 + n) + np.sqrt(n * (n + 4.0)))
+    return x, 2.0 * k / mu, 2.0 * k * mu
+
+
+def _plain_quadratic_energy_dH(z):
+    """The CLI's dH built slot by slot into an empty array."""
+    zh = z[..., 1:]
+    n = np.vecdot(zh, zh).real
+    k = np.exp(z[..., 0][()].real * 2.0 + n)
+    out = np.empty(z.shape, dtype=complex)
+    out[..., 0] = k * n
+    out[..., 1:] = (k * (n + 1.0))[..., None] * zh
+    return out
+
+
+def _plain_stage(solve, dH, z, hbar):
+    """One Euler-Lagrange stage: dH flattened, solved, times -i/hbar."""
+    g = np.asarray(dH(z), dtype=complex).reshape(-1)
+    return (-1j / hbar) * solve(z, g)[0]
+
+
+def _same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class _UserSolveReturnsG(_UserKlauder):
+    """A user space whose closed solve hands back its right-hand side."""
+
+    def mixed_solve(self, z, g):
+        return g, 2.0, 2.0
+
+
+def _owning_case(name):
+    """(space, spec, the plain field, arrays that must not change) for one
+    way a user's callable can hand the loop an array it does not own."""
+    cached = np.array([0.25 - 0.5j, 0.5 + 1j])
+    if name == "F returns its input":
+        return make_space("klauder"), HamiltonianSpec(F=lambda t, z: z), lambda t, z: z, []
+    if name == "F returns a cached array":
+        return (make_space("klauder"), HamiltonianSpec(F=lambda t, z: cached),
+                lambda t, z: cached.copy(), [cached])
+    if name == "dH returns a cached array":
+        ham = HamiltonianSpec(H=quadratic_H, dH=lambda z: cached, hbar=0.8)
+        want = lambda t, z: _plain_stage(_plain_klauder_solve, lambda z: cached.copy(), z, 0.8)
+        return make_space("klauder"), ham, want, [cached]
+    # the solve returns g, and g is the label itself
+    ham = HamiltonianSpec(H=quadratic_H, dH=lambda z: z, hbar=0.8)
+    want = lambda t, z: _plain_stage(lambda z, g: (g.copy(),), lambda z: z.copy(), z, 0.8)
+    return _UserSolveReturnsG(), ham, want, []
+
+
+@pytest.mark.parametrize("name", ["F returns its input", "F returns a cached array",
+                                  "dH returns a cached array", "mixed_solve returns its g"])
+def test_the_loop_writes_into_no_array_it_did_not_make(name):
+    space, ham, plain_f, cached = _owning_case(name)
+    z0 = Z0.copy()
+    before = [a.copy() for a in [z0] + cached]
+    traj = propagate_ode(space, ham, z0, 0.1, 1e-2)
+    assert not traj.meta["aborted"] and len(traj) == 11
+    assert _same_bits(traj.points, _plain_rk4(plain_f, Z0.copy(), 10, 1e-2))
+    for a, b in zip([z0] + cached, before):
+        assert _same_bits(a, b)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_klauder_el_stage_is_bitwise_its_plain_expressions(dim):
+    space = make_space("klauder", dim=dim)
+    rng = np.random.default_rng(SEED)
+    Z = space.sample_points(rng, 50)
+    dH = _quadratic_energy_dH(space)
+    field = dynamics._el_field(space, _quadratic_energy(space), dH, 0.8, True)
+    for z in Z:
+        assert _same_bits(dH(z), _plain_quadratic_energy_dH(z))
+        assert _same_bits(field(0.0, z), _plain_stage(_plain_klauder_solve, dH, z, 0.8))
+        g = space.sample_tangent(z, rng)
+        for got, want in zip(space.mixed_solve(z, g), _plain_klauder_solve(z, g.copy())):
+            assert _same_bits(got, want)
+    # a (5, 10) stack, with two labels whose forms are degenerate: one past
+    # the 1e12 condition cut, one whose K(z, z) overflows
+    Z[7] = _label_with_n(dim, 2e6)
+    Z[8] = np.array([354.7] + [0.0] * dim, dtype=complex)
+    Zs, Gs = Z.reshape(5, 10, -1), space.sample_tangent(Z, rng).reshape(5, 10, -1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert _same_bits(dH(Zs), _plain_quadratic_energy_dH(Zs))
+        got, want = space.mixed_solve(Zs, Gs), _plain_klauder_solve(Zs, Gs.copy())
+    for a, b in zip(got, want):
+        assert _same_bits(a, b)
+
+
+@pytest.mark.parametrize("name", ["szego", "schur", "debranges"])
+def test_scalar_chart_el_stage_solves_a_one_element_g(name):
+    # the closed dH's number goes to the 1x1 solve as a 1-element g
+    space = make_space(name)
+    field = dynamics._el_field(space, _smooth_H, _smooth_dH, 0.8)
+    for z in _solve_labels(space, np.random.default_rng(SEED), 20):
+        z = space.validate(z)
+        want = complex(_plain_stage(space.mixed_solve, _smooth_dH, z, 0.8)[0])
+        got = field(0.0, z)
+        assert type(got) is complex and _same_bits(got, want)
