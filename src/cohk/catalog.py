@@ -844,7 +844,12 @@ def infinitesimal_cs_margin(space, z, X):
     differences carry ~1e-6 noise, which lands on either side of an exact
     zero.
     """
-    m = wtg_matrix(space, z, X)
+    return _wtg_det(wtg_matrix(space, z, X))
+
+
+def _wtg_det(m):
+    """Determinant of (a stack of) wtg_matrix results, as
+    infinitesimal_cs_margin reads it: real diagonal, Hermitian corner."""
     return m[..., 0, 0].real * m[..., 1, 1].real - np.abs(m[..., 0, 1]) ** 2
 
 

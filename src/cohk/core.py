@@ -245,20 +245,31 @@ def kernel_eval(space, z, zp):
     return k
 
 
+def _kernel_matrix(space, left, right):
+    """K(left[j], right[k]) over two stacks of labels as a complex matrix.
+
+    The one checked kernel-matrix evaluation, behind gram,
+    nondegeneracy_probe and quantum's inner and norm: an entry that is not
+    finite (an overflowing or singular kernel) raises AxiomViolationError
+    naming the space and the first such pair, without a RuntimeWarning.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        k = np.asarray(space.kernel(left[:, None], right[None]), dtype=complex)
+    if not np.all(np.isfinite(k)):
+        bad = np.argwhere(~np.isfinite(k))[0]
+        raise AxiomViolationError(
+            f"kernel of {space.space_id} not finite at point pair "
+            f"({bad[0]}, {bad[1]})"
+        )
+    return k
+
+
 def gram(space, points):
     """Gram matrix G[j, k] = K(points[j], points[k]) as a complex array."""
     pts = space.stack(points)
     if not len(pts):
         raise DomainError("points: a Gram matrix needs at least one point")
-    with np.errstate(over="ignore", invalid="ignore"):
-        g = np.asarray(space.kernel(pts[:, None], pts[None]), dtype=complex)
-    if not np.all(np.isfinite(g)):
-        bad = np.argwhere(~np.isfinite(g))[0]
-        raise AxiomViolationError(
-            f"kernel of {space.space_id} not finite at point pair "
-            f"({bad[0]}, {bad[1]})"
-        )
-    return g
+    return _kernel_matrix(space, pts, pts)
 
 
 @dataclass
@@ -392,10 +403,5 @@ def nondegeneracy_probe(space, z, z2, witnesses):
     """
     if len(witnesses) < 1:
         raise DomainError("nondegeneracy probe needs at least one witness")
-    Z = space.stack([z, z2])
-    k = space.kernel(Z[:, None], space.stack(witnesses)[None])
-    if not np.all(np.isfinite(k)):
-        raise AxiomViolationError(
-            f"kernel of {space.space_id} not finite at a witness"
-        )
+    k = _kernel_matrix(space, space.stack([z, z2]), space.stack(witnesses))
     return float(np.max(np.abs(k[1] - k[0])))

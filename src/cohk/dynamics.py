@@ -58,7 +58,7 @@ from functools import lru_cache, partial
 import numpy as np
 
 from .core import CoherentSpace, DegenerateFormError, DomainError, _step_count
-from .catalog import _mixed, one_form_theta
+from .catalog import _mixed, _point_scale, one_form_theta
 from .fock import _block_exp, gen_block
 
 __all__ = [
@@ -510,7 +510,7 @@ def _grad(space, f, z, h=None, stacked=False):
     It is the Euler-Lagrange stage's gradient where a spec gives no ``dH``,
     and the oracle for the closed forms where it does."""
     if h is None:
-        h = 1e-6 * max(1.0, float(np.linalg.norm(z)))
+        h = 1e-6 * _point_scale(space, z)
     steps = h * _real_basis(space)
     vals = _values(f, np.concatenate([z + steps, z - steps]), stacked)
     n = len(steps)

@@ -13,13 +13,16 @@ generators through the (n+2)x(n+2) block picture.  The Weyl operator
 W(p,q) = exp(p*a + a*q) is represented by its central splitting
 e^{p*q/2} Gamma([0,p,q,I]); the ordered product e^{p*a} e^{a*q} differs
 from it by e^{p*q/2} and is the form the exchange/inverse relations are
-stated in.
+stated in.  One shift constructor, ``_shift``, builds every [0,p,q,I]
+(e^{p*a} and e^{a*q} are [0,p,0,I] and [0,0,q,I]), and
+weyl_relation_residuals names its five identities in one table, whose
+names are WeylReport's fields.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -97,8 +100,13 @@ def klauder_kernel(z, zp):
     return complex(k) if k.ndim == 0 else k
 
 
+def _vec(v):
+    """A p or q vector as a flat complex array."""
+    return np.asarray(v, dtype=complex).reshape(-1)
+
+
 def _as_vec(v, n, name):
-    v = np.asarray(v, dtype=complex).reshape(-1)
+    v = _vec(v)
     if v.shape != (n,):
         raise DomainError(f"{name} must have length {n}")
     return v
@@ -313,6 +321,12 @@ def _vd(p, q):
     return complex(np.vdot(p, q))
 
 
+def _shift(p, q):
+    """[0, p, q, I] for flat p, q of one length: its Gamma is e^{p*a} e^{a*q}
+    up to the scalar e^{p*q}.  The one constructor of every shift element."""
+    return OscElement(0.0, p, q, np.eye(len(p)))
+
+
 def weyl_element(p, q, z, zp):
     """<z| exp(p*a + a*q) |z'> = e^{p*q/2} K(z, [0,p,q,I] z').
 
@@ -320,18 +334,14 @@ def weyl_element(p, q, z, zp):
     exchange relation for e^{p*a} and e^{a*q}; the exchange relation
     itself is re-verified in weyl_relation_residuals rather than assumed.
     """
-    p = np.asarray(p, dtype=complex).reshape(-1)
-    q = np.asarray(q, dtype=complex).reshape(-1)
-    shift = OscElement(0.0, p, q, np.eye(len(p)))
-    return np.exp(_vd(p, q) / 2.0) * gamma_element(shift, z, zp)
+    p, q = _vec(p), _vec(q)
+    return np.exp(_vd(p, q) / 2.0) * gamma_element(_shift(p, q), z, zp)
 
 
 def weyl_ordered_element(p, q, z, zp):
     """<z| e^{p*a} e^{a*q} |z'>; equals e^{p*q/2} weyl_element."""
-    p = np.asarray(p, dtype=complex).reshape(-1)
-    q = np.asarray(q, dtype=complex).reshape(-1)
-    shift = OscElement(0.0, p, q, np.eye(len(p)))
-    return np.exp(_vd(p, q)) * gamma_element(shift, z, zp)
+    p, q = _vec(p), _vec(q)
+    return np.exp(_vd(p, q)) * gamma_element(_shift(p, q), z, zp)
 
 
 class _Wop:
@@ -349,19 +359,14 @@ class _Wop:
 
 
 def _w_ord(p, q):
-    n = len(p)
-    return _Wop(np.exp(_vd(p, q)), OscElement(0.0, p, q, np.eye(n)))
-
-
-def _w_ord_inv(p, q):
-    # (e^{p*a} e^{a*q})^{-1} = e^{-a*q} e^{-p*a} = Gamma([0,-p,-q,I]) exactly
-    n = len(p)
-    return _Wop(1.0, OscElement(0.0, -p, -q, np.eye(n)))
+    """e^{p*a} e^{a*q} = e^{p*q} Gamma([0,p,q,I])."""
+    return _Wop(np.exp(_vd(p, q)), _shift(p, q))
 
 
 @dataclass
 class WeylReport:
-    """Max residuals of the Weyl operator identities over a sample set."""
+    """Max residuals of the Weyl operator identities over a sample set; every
+    field before ``scale`` is one identity of weyl_relation_residuals' table."""
 
     exchange: float          # e^{p*a} e^{a*q} = e^{p*q} e^{a*q} e^{p*a}
     composition: float       # W(p,q) W(p',q') = e^{-p'*q} W(p+p', q+q')
@@ -371,9 +376,16 @@ class WeylReport:
     scale: float
 
     @property
+    def residuals(self):
+        """{identity: max residual}, in field order."""
+        return {name: getattr(self, name) for name in _WEYL_IDENTITIES}
+
+    @property
     def max_residual(self):
-        return max(self.exchange, self.composition, self.inverse, self.swap,
-                   self.group_commutator)
+        return max(self.residuals.values())
+
+
+_WEYL_IDENTITIES = tuple(f.name for f in fields(WeylReport) if f.name != "scale")
 
 
 def weyl_relation_residuals(p, q, pp, qp, samples):
@@ -381,56 +393,42 @@ def weyl_relation_residuals(p, q, pp, qp, samples):
 
     All five identities are evaluated by composing scalar * Gamma(element)
     pairs through osc_mul, so each residual reflects only the scalar
-    bookkeeping, never quadrature.
+    bookkeeping, never quadrature.  W W' is composed once and evaluated
+    once per pair: 7 gamma_element calls a pair.
     """
-    p = np.asarray(p, dtype=complex).reshape(-1)
-    q = np.asarray(q, dtype=complex).reshape(-1)
-    pp = np.asarray(pp, dtype=complex).reshape(-1)
-    qp = np.asarray(qp, dtype=complex).reshape(-1)
-    n = len(p)
-    eye = np.eye(n)
-
-    ea = _Wop(1.0, OscElement(0.0, p, np.zeros(n), eye))    # e^{p*a}
-    ec = _Wop(1.0, OscElement(0.0, np.zeros(n), q, eye))    # e^{a*q}
-
-    w = _w_ord(p, q)
-    wp = _w_ord(pp, qp)
-    w_sum = _w_ord(p + pp, q + qp)
-
+    p, q, pp, qp = _vec(p), _vec(q), _vec(pp), _vec(qp)
+    zero = np.zeros(len(p))
+    ea, ec = _Wop(1.0, _shift(p, zero)), _Wop(1.0, _shift(zero, q))  # e^{p*a}, e^{a*q}
+    w, wp, w_sum = _w_ord(p, q), _w_ord(pp, qp), _w_ord(p + pp, q + qp)
+    ww = w @ wp
     lhs_exch = ea @ ec
     rhs_exch = _Wop(np.exp(_vd(p, q)), (ec @ ea).elem)
-
-    lhs_comp = w @ wp
     rhs_comp = _Wop(np.exp(-_vd(pp, q)) * w_sum.scalar, w_sum.elem)
-
     lhs_inv = w @ _w_ord(-p, -q)
     inv_scalar = np.exp(_vd(p, q))
+    wp_w = wp @ w
+    phase = np.exp(_vd(p, qp) - _vd(pp, q))  # e^{p*q' - p'*q}
+    # W^{-1} W'^{-1} W W', associated as written: (e^{p*a} e^{a*q})^{-1} is
+    # Gamma([0,-p,-q,I]) exactly
+    comm = _Wop(1.0, _shift(-p, -q)) @ _Wop(1.0, _shift(-pp, -qp)) @ w @ wp
 
-    lhs_swap = w @ wp
-    rhs_swap_op = wp @ w
-    swap_phase = np.exp(_vd(p, qp) - _vd(pp, q))
-
-    comm = _w_ord_inv(p, q) @ _w_ord_inv(pp, qp) @ w @ wp
-    comm_phase = np.exp(_vd(p, qp) - _vd(pp, q))
-
-    r = dict(exchange=0.0, composition=0.0, inverse=0.0, swap=0.0,
-             group_commutator=0.0)
+    worst = dict.fromkeys(_WEYL_IDENTITIES, 0.0)
     scale = 1.0
     for z, zp_pt in samples:
         k = klauder_kernel(z, zp_pt)
         scale = max(scale, abs(k))
-        r["exchange"] = max(r["exchange"],
-                            abs(lhs_exch.element(z, zp_pt) - rhs_exch.element(z, zp_pt)))
-        r["composition"] = max(r["composition"],
-                               abs(lhs_comp.element(z, zp_pt) - rhs_comp.element(z, zp_pt)))
-        r["inverse"] = max(r["inverse"],
-                           abs(lhs_inv.element(z, zp_pt) - inv_scalar * k))
-        r["swap"] = max(r["swap"],
-                        abs(lhs_swap.element(z, zp_pt)
-                            - swap_phase * rhs_swap_op.element(z, zp_pt)))
-        r["group_commutator"] = max(r["group_commutator"],
-                                    abs(comm.element(z, zp_pt) - comm_phase * k))
-    return WeylReport(scale=scale, **r)
+        ww_el = ww.element(z, zp_pt)
+        # the identity table: left side minus right side at (z, z')
+        defects = {
+            "exchange": lhs_exch.element(z, zp_pt) - rhs_exch.element(z, zp_pt),
+            "composition": ww_el - rhs_comp.element(z, zp_pt),
+            "inverse": lhs_inv.element(z, zp_pt) - inv_scalar * k,
+            "swap": ww_el - phase * wp_w.element(z, zp_pt),
+            "group_commutator": comm.element(z, zp_pt) - phase * k,
+        }
+        for name, d in defects.items():
+            worst[name] = max(worst[name], abs(d))
+    return WeylReport(scale=scale, **worst)
 
 
 # ---------------------------------------------------------------------------
@@ -470,17 +468,13 @@ def ccr_epsilon_check(p, q, z, zp, eps_list):
         a <= b for a, b in zip(eps_list, eps_list[1:])
     ):
         raise DomainError("eps_list must be decreasing, finite and positive")
-    p = np.asarray(p, dtype=complex).reshape(-1)
-    q = np.asarray(q, dtype=complex).reshape(-1)
-    n = len(p)
-    eye = np.eye(n)
-    zero = np.zeros(n)
+    p, q = _vec(p), _vec(q)
+    zero = np.zeros(len(p))
 
     deltas = []
     quotients = []
     for e in eps_list:
-        ea = _Wop(1.0, OscElement(0.0, e * p, zero, eye))
-        ec = _Wop(1.0, OscElement(0.0, zero, e * q, eye))
+        ea, ec = _Wop(1.0, _shift(e * p, zero)), _Wop(1.0, _shift(zero, e * q))
         d = (ea @ ec).element(z, zp) - (ec @ ea).element(z, zp)
         deltas.append(d)
         quotients.append(d / (e * e))

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import AxiomViolationError, CoherentSpace, DomainError, gram
+from .core import AxiomViolationError, CoherentSpace, DomainError, _kernel_matrix, gram
 
 __all__ = [
     "CoherentMapSpec",
@@ -70,26 +70,34 @@ def _same_space(phi, psi):
         )
 
 
+def _pairing(phi, psi):
+    """<phi|psi> of two nonempty spans, with psi's coefficients and the
+    checked kernel matrix K(z_j, w_k) it sums over."""
+    c = np.array([t[0] for t in phi.terms])
+    d = np.array([t[0] for t in psi.terms])
+    k = _kernel_matrix(phi.space, phi.space.stack([t[1] for t in phi.terms]),
+                       psi.space.stack([t[1] for t in psi.terms]))
+    return complex(np.conj(c) @ k @ d), d, k
+
+
 def inner(phi, psi):
-    """<phi|psi> = sum conj(c_j) d_k K(z_j, w_k); antilinear in phi."""
+    """<phi|psi> = sum conj(c_j) d_k K(z_j, w_k); antilinear in phi.  A
+    kernel value that is not finite raises AxiomViolationError."""
     _same_space(phi, psi)
     if not phi.terms or not psi.terms:
         return 0.0 + 0.0j
-    c = np.array([t[0] for t in phi.terms])
-    d = np.array([t[0] for t in psi.terms])
-    Z = phi.space.stack([t[1] for t in phi.terms])
-    W = psi.space.stack([t[1] for t in psi.terms])
-    return complex(np.conj(c) @ phi.space.kernel(Z[:, None], W[None]) @ d)
+    return _pairing(phi, psi)[0]
 
 
 def norm(psi):
-    """sqrt(Re <psi|psi>); a radicand below -1e-10*scale is a PSD violation."""
-    v = inner(psi, psi).real
-    scale = 1.0
-    if psi.terms:
-        c = np.array([t[0] for t in psi.terms])
-        Z = psi.space.stack([t[1] for t in psi.terms])
-        scale = max(scale, float(np.max(np.abs(c) ** 2 * np.abs(psi.space.kernel(Z, Z)))))
+    """sqrt(Re <psi|psi>); a radicand below -1e-10*scale is a PSD violation,
+    with scale = max(1, max_k |c_k|^2 |K(z_k, z_k)|) read off the diagonal of
+    the kernel matrix the radicand was summed over."""
+    if not psi.terms:
+        return 0.0
+    v, c, k = _pairing(psi, psi)
+    v = v.real
+    scale = max(1.0, float(np.max(np.abs(c) ** 2 * np.abs(np.diagonal(k)))))
     if v < -1e-10 * scale:
         raise AxiomViolationError(f"negative squared norm {v}")
     return float(np.sqrt(max(v, 0.0)))

@@ -458,6 +458,47 @@ def test_spectrum_near_diagonal_pair_takes_the_off_diagonal_path(tmp_path, monke
     assert [c.name for c in report.checks] == ["lines_found"]
 
 
+def test_weyl_check_rows_are_the_report_fields(tmp_path, monkeypatch):
+    """weyl_residuals.csv lists WeylReport's identity fields in order, then
+    normal_ordering, and the checked maximum is the maximum of those fields."""
+    from dataclasses import fields
+
+    reports = []
+    real = cohk.cli.weyl_relation_residuals
+    monkeypatch.setattr(cohk.cli, "weyl_relation_residuals",
+                        lambda *a: reports.append(real(*a)) or reports[-1])
+    cfg = _base("weyl-check", params={"samples": 10}, space={"kind": "klauder", "dim": 2})
+    report = run_config(_write_config(tmp_path, cfg), out_flag=str(tmp_path / "out"))
+    (rep,) = reports
+    names = [f.name for f in fields(rep) if f.name != "scale"]
+    rows = [line.split(",") for line in
+            (tmp_path / "out" / "weyl_residuals.csv").read_text().splitlines()[1:]]
+    assert [r[0] for r in rows] == names + ["normal_ordering"]
+    assert [float(r[1]) for r in rows[:-1]] == [getattr(rep, n) for n in names]
+    assert rep.max_residual == max(getattr(rep, n) for n in names)
+    check = next(c for c in report.checks if c.name == "weyl_max_residual_over_scale")
+    assert check.value == rep.max_residual / rep.scale
+
+
+def test_geometry_check_builds_each_jet_matrix_once(tmp_path, monkeypatch):
+    """The runner takes the PSD check, the scale K(z, z) and the margin from
+    one wtg_matrix stack."""
+    import cohk.catalog
+
+    calls = []
+    real = cohk.catalog.wtg_matrix
+
+    def counted(*a):
+        calls.append(1)
+        return real(*a)
+
+    monkeypatch.setattr(cohk.catalog, "wtg_matrix", counted)
+    monkeypatch.setattr(cohk.cli, "wtg_matrix", counted)
+    cfg = _base("geometry-check", params={"cases": 6}, space={"kind": "szego"})
+    run_config(_write_config(tmp_path, cfg), out_flag=str(tmp_path / "out"))
+    assert len(calls) == 1
+
+
 # ---- determinism ----
 
 

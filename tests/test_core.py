@@ -265,6 +265,16 @@ def test_nondegeneracy_probe_needs_witnesses():
         nondegeneracy_probe(sp, 0.1, 0.2, [])
 
 
+def test_nondegeneracy_probe_names_an_overflowing_pair(recwarn):
+    """K([0, 27], w) overflows on klauder(1) for a real witness w = [0, 30]:
+    the checked kernel matrix names the (point, witness) pair, silently."""
+    sp = make_space("klauder", dim=1)
+    with pytest.raises(AxiomViolationError,
+                       match=r"kernel of klauder\(1\) not finite at point pair \(1, 0\)"):
+        nondegeneracy_probe(sp, [0.0, 0.1], [0.0, 27.0], [[0.0, 30.0]])
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+
 # ---- axiom sweep over every catalog space ----
 
 

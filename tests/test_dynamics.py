@@ -548,6 +548,20 @@ def test_quadratic_energy_dH_matches_the_stencil(dim):
         assert np.abs(2.0 * g - want).max() <= 1e-8 * np.abs(want).max()
 
 
+@pytest.mark.parametrize("space", [make_space(name) for name in space_names()]
+                         + [make_space("klauder", dim=d) for d in (2, 3, 5)],
+                         ids=lambda s: s.space_id)
+def test_stencil_step_scale_is_max_one_norm(space):
+    """_grad's step rule is the FD oracle's _point_scale: max(1, |z|), equal
+    bit for bit to numpy.linalg.norm's sum, on labels scaled up to 30x."""
+    from cohk.catalog import _point_scale
+
+    rng = np.random.default_rng(SEED)
+    for z in space.sample_points(rng, 100):
+        for s in (1.0, 7.0, 30.0) if space.space_id.startswith("klauder") else (1.0,):
+            assert _point_scale(space, s * z) == max(1.0, float(np.linalg.norm(s * z)))
+
+
 @pytest.mark.parametrize("dim", [1, 2, 3])
 def test_el_integrate_with_dH_agrees_with_the_stencil(dim):
     space = make_space("klauder", dim=dim)

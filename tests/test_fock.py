@@ -273,6 +273,40 @@ def test_weyl_relations_hold_to_rounding():
         assert report.max_residual <= 1e-12 * report.scale
 
 
+def test_weyl_relations_make_seven_gamma_elements_a_pair(monkeypatch):
+    """W W' is composed once and evaluated once per pair: the five
+    identities need 7 distinct gamma_element calls, not 8."""
+    import cohk.fock
+
+    calls = []
+    real = cohk.fock.gamma_element
+    monkeypatch.setattr(cohk.fock, "gamma_element",
+                        lambda A, z, zp: calls.append(1) or real(A, z, zp))
+    rng = np.random.default_rng(SEED)
+    p, q, pp, qp = (0.6 * (rng.normal(size=2) + 1j * rng.normal(size=2))
+                    for _ in range(4))
+    samples = [(_random_label(rng, 2), _random_label(rng, 2)) for _ in range(5)]
+    weyl_relation_residuals(p, q, pp, qp, samples)
+    assert len(calls) == 7 * len(samples)
+
+
+def test_weyl_report_reads_its_identity_fields():
+    """max_residual is the maximum over the fields before scale, and no
+    samples leave every identity at 0."""
+    from dataclasses import fields
+
+    rng = np.random.default_rng(SEED)
+    p, q, pp, qp = (rng.normal(size=1) + 1j * rng.normal(size=1) for _ in range(4))
+    samples = [(_random_label(rng, 1), _random_label(rng, 1)) for _ in range(10)]
+    rep = weyl_relation_residuals(p, q, pp, qp, samples)
+    names = [f.name for f in fields(rep)][:-1]
+    assert names == ["exchange", "composition", "inverse", "swap", "group_commutator"]
+    assert list(rep.residuals) == names
+    assert rep.max_residual == max(getattr(rep, name) for name in names)
+    empty = weyl_relation_residuals(p, q, pp, qp, [])
+    assert empty.residuals == dict.fromkeys(names, 0.0) and empty.scale == 1.0
+
+
 def test_weyl_inverse_composition_value():
     """W_ord(p,q) W_ord(-p,-q) acts as multiplication by e^{p*q}: the
     element product collapses to [-p*q, 0, 0, 1] and the two ordering

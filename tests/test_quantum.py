@@ -92,6 +92,29 @@ def test_negative_squared_norm_raises():
         norm(coherent_state(bad, 1.0))
 
 
+def test_inner_and_norm_raise_on_an_overflowing_label(recwarn):
+    """K(z, z) = e^729 overflows at [0, 27] on klauder(1): a checked kernel
+    matrix names the space and pair and emits no RuntimeWarning."""
+    psi = coherent_state(make_space("klauder", dim=1), [0.0, 27.0])
+    for op in (lambda: inner(psi, psi), lambda: norm(psi)):
+        with pytest.raises(AxiomViolationError,
+                           match=r"kernel of klauder\(1\) not finite at point pair \(0, 0\)"):
+            op()
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+
+def test_norm_evaluates_the_kernel_once():
+    """norm reads its scale off the diagonal of the matrix <psi|psi> sums
+    over, so a span costs one kernel evaluation."""
+    space = make_space("euclidean")
+    calls = []
+    kernel = space.kernel
+    space.kernel = lambda z, zp: calls.append(1) or kernel(z, zp)
+    psi = QVec(space, [(1.0, np.array([3.0, 0.0])), (1.0, np.array([0.0, 4.0]))])
+    assert norm(psi) == pytest.approx(5.0)
+    assert len(calls) == 1
+
+
 def test_orthonormal_basis_sphere_standard_pair():
     space = make_space("sphere")
     e1 = np.array([1.0, 0.0], dtype=complex)
