@@ -800,7 +800,8 @@ EXPERIMENTS = {
                 Param("zp", None, "right label (default z)"),
                 Param("E", [0.5, 0.1], "complex energy [re, im], im > 0", _as_complex),
                 Param("dt", 1e-2, "quadrature step", _as_float),
-                Param("t_max", 0.0, "horizon (0 = auto from Im E)", _as_float),
+                Param("t_max", 0.0, "horizon (0 = auto from Im E; negative is rejected)",
+                      _as_float),
                 Param("eq_tol", 1e-4, "resolvent-identity residual tolerance", _as_float),
                 Param("sym_tol", 1e-10, "conjugate-symmetry tolerance over scale", _as_float),
             ),

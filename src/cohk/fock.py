@@ -256,12 +256,18 @@ def dgamma_element(gen, z, zp):
     product is taken label by label (vecdot, stacked matmul), so a case
     gets the same bits in a stack of any length.
     """
+    return klauder_kernel(z, zp) * _dgamma_factor(gen, z, zp)
+
+
+def _dgamma_factor(gen, z, zp):
+    """rho + p* zhat' + zhat* q + zhat* X zhat', the factor of K(z, z') in
+    dgamma_element, so a caller holding K need not evaluate it again."""
     z = np.asarray(z, dtype=complex)
     zp = np.asarray(zp, dtype=complex)
     zh, zph = z[..., 1:], zp[..., 1:]
     lin = (gen.rho + np.vecdot(gen.p, zph) + np.vecdot(zh, gen.q)
            + np.vecdot(zh, (gen.X @ zph[..., None])[..., 0]))
-    return klauder_kernel(z, zp) * (complex(lin) if np.ndim(lin) == 0 else lin)
+    return complex(lin) if np.ndim(lin) == 0 else lin
 
 
 def annihilation_element(q, z, zp):

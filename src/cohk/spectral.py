@@ -11,19 +11,25 @@ DomainError.  Every horizon (a series' t_max, a damped quadrature's
 derived one, an average's T) becomes a step count by the one step rule,
 ``core._step_count``: round(horizon / dt), a DomainError unless dt is
 finite and positive, the horizon finite and at least 0 and the count at
-most MAX_SIZE; a series needs at least one step.  Time averages pick out
-eigencomponents, a Hann-windowed Fourier scan locates spectral lines, and
+most MAX_SIZE; a series needs at least one step.  Every time or energy
+integral is one Fourier sum, ``_uniform_fourier``, of samples weighted by
+one trapezoid rule, ``_trapezoid_weights``: a direct sum for a few
+energies and one chirp-z (Bluestein) convolution for more, so energy
+grids must be uniform, E_0 + k dE with a real dE and one shared imaginary
+part (a complex grid is a chirp-z spiral contour).  Time averages pick
+out eigencomponents, a Hann-windowed scan locates spectral lines, and
 damped one-sided quadrature
 
     G(E) = -iota * integral_0^tmax e^{iota t E} K_t dt,   iota = i / hbar
 
 produces resolvent matrix elements, plain complex numbers, for Im E > 0
-(the sign is fixed by the zero-generator case G(E) = K/E); the resolvent
-equation residual integrates its H G term over the same flow.  Fourier sums
-over a uniform energy grid go through one routine, ``_uniform_fourier``: a
-direct sum for a few energies and one chirp-z (Bluestein) convolution for
-more, so energy grids must be uniform.  Negative times are synthesized from
-K_{-t}(z, z') = conj(K_t(z', z)) rather than integrated.  The Schwinger-Dyson
+(the sign is fixed by the zero-generator case G(E) = K/E), with t_max = 0
+for the automatic horizon (a negative t_max raises DomainError); the
+resolvent equation residual integrates its H G term over the same flow,
+and the density -Im G(E + i eta)/pi is that quadrature at the complex
+grid E + i eta.  Negative times are synthesized from K_{-t}(z, z') =
+conj(K_t(z', z)) rather than integrated, from a swapped series that must
+share the time grid (t0, dt, length) and hbar.  The Schwinger-Dyson
 residual takes a stack of cases and evaluates all their flows in one call.
 """
 
@@ -36,7 +42,7 @@ import numpy as np
 
 from .core import DomainError, _step_count
 from .dynamics import AutocorrSeries, _flow_points, autocorrelation, flow_exact
-from .fock import OscGenerator, dgamma_element, klauder_kernel
+from .fock import OscGenerator, _dgamma_factor, dgamma_element, klauder_kernel
 
 __all__ = [
     "SpectralLine",
@@ -95,8 +101,9 @@ def _two_sided(series, swapped):
             )
         back = fwd
     else:
-        if len(swapped.values) != len(fwd) or swapped.dt != series.dt:
-            raise DomainError("swapped series must share the time grid")
+        if (len(swapped.values) != len(fwd) or swapped.dt != series.dt
+                or swapped.t0 != series.t0 or swapped.hbar != series.hbar):
+            raise DomainError("swapped series must share the time grid and hbar")
         back = np.asarray(swapped.values)
     return np.concatenate([np.conj(back[:0:-1]), fwd])
 
@@ -113,13 +120,9 @@ def time_average_overlap(series, E, T, swapped=None):
     n = _step_count(T, dt, f"T={T:g}")
     if series.t0 != 0.0 or n > len(series.values) - 1 or n < 1:
         raise DomainError("series does not cover [-T, T]")
-    vals = _two_sided(series, swapped)
     mid = len(series.values) - 1
-    v = vals[mid - n : mid + n + 1]
-    t = dt * np.arange(-n, n + 1)
-    iota = 1j / series.hbar
-    integrand = np.exp(iota * E * t) * v
-    return complex(np.trapezoid(integrand, dx=dt) / (2.0 * n * dt))
+    x = _trapezoid_weights(2 * n + 1, dt) * _two_sided(series, swapped)[mid - n : mid + n + 1]
+    return complex(_uniform_fourier(x, -n * dt, dt, E, 1j / series.hbar)[0] / (2.0 * n * dt))
 
 
 def eigencomponent_overlap(space, zp, traj, E, T):
@@ -131,9 +134,8 @@ def eigencomponent_overlap(space, zp, traj, E, T):
     n = _step_count(T, series.dt, f"T={T:g}") if len(series.values) > 1 else 0
     if n > len(series.values) - 1 or n < 1:
         raise DomainError("trajectory does not cover [0, T]")
-    t = series.dt * np.arange(n + 1)
-    integrand = np.exp((1j / series.hbar) * E * t) * series.values[: n + 1]
-    return complex(np.trapezoid(integrand, dx=series.dt) / (n * series.dt))
+    x = _trapezoid_weights(n + 1, series.dt) * series.values[: n + 1]
+    return complex(_uniform_fourier(x, 0.0, series.dt, E, 1j / series.hbar)[0] / (n * series.dt))
 
 
 # ---------------------------------------------------------------------------
@@ -146,9 +148,17 @@ def eigencomponent_overlap(space, zp, traj, E, T):
 _DIRECT_ENERGIES = 4
 
 
+def _trapezoid_weights(n, dx=1.0):
+    """Trapezoid-rule weights dx (1/2, 1, ..., 1, 1/2) of n >= 2 samples."""
+    w = np.full(n, float(dx))
+    w[0] = w[-1] = 0.5 * dx
+    return w
+
+
 def _uniform_fourier(x, t0, dt, E_grid, iota):
     """sum_j x_j e^{iota E_k t_j} with t_j = t0 + j dt, for every E_k of a
-    uniform grid (other grids raise DomainError).
+    uniform grid E_0 + k dE, dE real, at one shared Im E (other grids
+    raise DomainError).
 
     Up to _DIRECT_ENERGIES energies this is the direct sum of
     e^{iota E t_j} x_j, whose phases round as eps |E t_j| per sample.
@@ -160,18 +170,25 @@ def _uniform_fourier(x, t0, dt, E_grid, iota):
     product rather than of a running sum.
     """
     x = np.asarray(x, dtype=complex)
-    E = np.atleast_1d(np.asarray(E_grid, dtype=float))
+    E = np.atleast_1d(np.asarray(E_grid, dtype=complex if np.iscomplexobj(E_grid) else float))
     n, m = len(x), len(E)
     if m == 0:
         return np.zeros(0, dtype=complex)
-    dE = (E[-1] - E[0]) / (m - 1) if m > 1 else 0.0
+    dE = (E[-1] - E[0]).real / (m - 1) if m > 1 else 0.0
     drift = np.abs(E - (E[0] + dE * np.arange(m))).max()
     if drift > 1e-12 * max(1.0, abs(E[0]), abs(E[-1])):
         raise DomainError("energy grid must be uniformly spaced")
     if m <= _DIRECT_ENERGIES:
-        # numpy's pairwise sum, not a BLAS product: a threaded BLAS would
-        # round by the machine's thread count
-        return (np.exp(iota * np.outer(E, t0 + dt * np.arange(n))) * x).sum(axis=1)
+        # in place where numpy would allocate, with the bits of
+        # exp(iota outer(E, t0 + dt j)) x; numpy's pairwise sum, not a BLAS
+        # product: a threaded BLAS would round by the machine's thread count
+        t = np.arange(n, dtype=float)
+        t *= dt
+        t += t0
+        phase = iota * np.outer(E, t)
+        np.exp(phase, out=phase)
+        phase *= x
+        return phase.sum(axis=1)
     half_a = 0.5 * iota * dE * dt
     j, k, neg = np.arange(n), np.arange(m), np.arange(1 - n, 0)
     k2 = (k * k).astype(float)
@@ -229,9 +246,7 @@ def spectrum_scan(series, E_grid, swapped=None, floor=1e-4):
     # (1/2T) integral w(t) e^{iota t E} K_t dt, Hann window w, trapezoid
     n = len(series.values) - 1
     t = dt * np.arange(-n, n + 1)
-    trap = np.ones(len(t))
-    trap[0] = trap[-1] = 0.5
-    base = (0.5 * (1.0 + np.cos(np.pi * t / T)) * trap
+    base = (0.5 * (1.0 + np.cos(np.pi * t / T)) * _trapezoid_weights(len(t))
             * _two_sided(series, swapped) * (dt / (2.0 * T)))
 
     def windowed(E):
@@ -294,31 +309,39 @@ def _auto_t_max(rate, hbar, dt, name):
     return t_max
 
 
-def _resolvent_quadrature(ham, z, zp, E, t_max, dt, *elements):
-    """-iota integral_0^tmax e^{iota t E} f(z, psi(t)) dt (trapezoid) for each
-    f(z, pts) of ``elements``, over one flow psi of z'; t_max as in resolvent_element."""
-    E = complex(E)
-    if not (math.isfinite(E.real) and 0.0 < E.imag < math.inf):
+def _resolvent_quadrature(ham, z, zp, E, t_max, dt, *factors):
+    """-iota integral_0^tmax e^{iota t E} K(z, psi(t)) f(z, psi(t)) dt
+    (trapezoid) for f = 1 and each f(z, pts) of ``factors``, over one flow
+    psi of z' and one kernel evaluation on it, as one Fourier sum each; E
+    is a complex energy or a uniform grid at one Im E."""
+    Es = np.asarray(E, dtype=complex)
+    if not (np.isfinite(Es.real).all() and ((0.0 < Es.imag) & (Es.imag < math.inf)).all()):
         raise DomainError("direct resolvent quadrature needs a finite E with Im E > 0")
     hbar = ham.hbar
-    if t_max <= 0:
-        t_max = _auto_t_max(E.imag, hbar, dt, "Im E")
+    if t_max == 0:
+        t_max = _auto_t_max(float(Es.imag.min()), hbar, dt, "Im E")
     pts = _series_points(ham.gen, zp, t_max, dt, hbar)
+    # the factors before K, and the flow dropped before the sums, so that
+    # few arrays of the flow's length are held at once; K f is formed in
+    # f's buffer as k * f, the operand order of dgamma_element
+    fvals = [f(z, pts) for f in factors]
+    k = klauder_kernel(z, pts)
+    del pts
+    values = [k] + [np.multiply(k, fv, out=fv) for fv in fvals]
+    w = _trapezoid_weights(len(k), dt)
     iota = 1j / hbar
-    phase = np.exp(iota * E * (dt * np.arange(len(pts))))
-    # held in a list: numpy would reuse a large unnamed temporary in place as
-    # vals * phase, a complex product that rounds unlike phase * vals
-    values = [f(z, pts) for f in elements]
-    return [-iota * np.trapezoid(phase * v, dx=dt) for v in values]
+    sums = [_uniform_fourier(np.multiply(v, w, out=v), 0.0, dt, Es, iota) for v in values]
+    return [-iota * (g if Es.ndim else g[0]) for g in sums]
 
 
 def resolvent_element(ham, z, zp, E, t_max=0.0, dt=1e-2):
     """<z| (E - H)^{-1} |z'> = -iota integral_0^tmax e^{iota t E} K_t dt.
 
-    t_max defaults to the point where the damping e^{-Im E t / hbar} falls
-    below 1e-12.  One flow of z'.
+    t_max = 0 (the default) is the point where the damping
+    e^{-Im E t / hbar} falls below 1e-12; a negative t_max raises
+    DomainError.  One flow of z'.
     """
-    g, = _resolvent_quadrature(ham, z, zp, E, t_max, dt, klauder_kernel)
+    g, = _resolvent_quadrature(ham, z, zp, E, t_max, dt)
     return complex(g)
 
 
@@ -327,7 +350,7 @@ def _symmetry_gap(ham, z, zp, E, t_max, dt, g):
     quadrature of resolvent_symmetry_residual."""
     gen = ham.gen
     back = replace(ham, gen=OscGenerator(-gen.rho, -gen.p, -gen.q, -gen.X))
-    b, = _resolvent_quadrature(back, zp, z, -np.conj(complex(E)), t_max, dt, klauder_kernel)
+    b, = _resolvent_quadrature(back, zp, z, -np.conj(complex(E)), t_max, dt)
     return abs(g + np.conj(b))
 
 
@@ -337,7 +360,9 @@ def resolvent_symmetry_residual(ham, z, zp, E, t_max=0.0, dt=1e-2):
     against z', so no value is reused between the two routes.  The backward
     flow is the forward flow of -gen, and its quadrature at -conj(E) (in the
     upper half-plane) is -conj(G(conj E)(z',z)); negation is exact.  Two
-    flows: the forward one of resolvent_element and the backward one."""
+    flows: the forward one of resolvent_element and the backward one, each
+    to t_max as in resolvent_element (0 is automatic, negative raises
+    DomainError)."""
     return _symmetry_gap(ham, z, zp, E, t_max, dt, resolvent_element(ham, z, zp, E, t_max, dt))
 
 
@@ -390,22 +415,15 @@ def rational_element(ham, z, zp, A_roots, B_coeffs, eta=0.05, spectrum=None, dt=
 
 
 def spectral_density(ham, z, zp, E_grid, eta, dt=1e-2):
-    """-(1/pi) Im G(E + i eta) on a uniform energy grid, from one shared
-    series and one Fourier sum (``_uniform_fourier``: one chirp-z
-    transform past 4 energies); other grids, and grids that reach the band
-    2 pi hbar/dt (``_alias_guard``), raise DomainError."""
+    """-(1/pi) Im G(E + i eta) on a uniform energy grid, the resolvent
+    quadrature at the grid E + i eta (one chirp-z transform past 4
+    energies); other grids, and grids that reach the band 2 pi hbar/dt
+    (``_alias_guard``), raise DomainError."""
     if not 0.0 < eta < math.inf:
         raise DomainError("eta must be finite and positive")
-    hbar = ham.hbar
-    _alias_guard(E_grid, dt, hbar)
-    t_max = _auto_t_max(eta, hbar, dt, "eta")
-    pts = _series_points(ham.gen, zp, t_max, dt, hbar)
-    t = dt * np.arange(len(pts))
-    iota = 1j / hbar
-    damp = klauder_kernel(z, pts) * np.exp(-eta * t / hbar)
-    trap = np.ones(len(t))
-    trap[0] = trap[-1] = 0.5
-    g = -iota * _uniform_fourier(damp * trap * dt, 0.0, dt, E_grid, iota)
+    _alias_guard(E_grid, dt, ham.hbar)
+    E = np.atleast_1d(np.asarray(E_grid, dtype=float)) + 1j * eta
+    g, = _resolvent_quadrature(ham, z, zp, E, _auto_t_max(eta, ham.hbar, dt, "eta"), dt)
     return -g.imag / math.pi
 
 
@@ -424,9 +442,11 @@ def kt_roundtrip_residual(ham, z, zp, t, eta, E_grid, dt=1e-2):
                          or E_grid[-1] - support.max() < 20 * eta):
         raise DomainError("energy grid does not span the spectrum with "
                           "margin 20 eta")
+    # a Fourier sum with time and energy trading places
+    dE = (E_grid[-1] - E_grid[0]) / max(len(E_grid) - 1, 1)
     hbar = ham.hbar
-    iota = 1j / hbar
-    lhs = np.trapezoid(np.exp(-iota * t * E_grid) * dens, x=E_grid)
+    lhs = _uniform_fourier(_trapezoid_weights(len(E_grid), dE) * dens, E_grid[0], dE, t,
+                           -1j / hbar)[0]
     kt = klauder_kernel(z, flow_exact(ham.gen, t, zp, hbar))
     k0 = klauder_kernel(z, zp)
     return abs(lhs - kt) / abs(k0)
@@ -468,8 +488,8 @@ def schwinger_dyson_residual(ham, z, zp, t):
 
 def _equation_quadrature(ham, z, zp, E, t_max, dt):
     """G(E) and resolvent_equation_residual's value, from one flow."""
-    g, og = _resolvent_quadrature(ham, z, zp, E, t_max, dt, klauder_kernel,
-                                  lambda z, pts: dgamma_element(ham.gen, z, pts))
+    g, og = _resolvent_quadrature(ham, z, zp, E, t_max, dt,
+                                  lambda z, pts: _dgamma_factor(ham.gen, z, pts))
     k = klauder_kernel(z, zp)
     return g, abs(E * g - og - k) / abs(k)
 
@@ -477,8 +497,10 @@ def _equation_quadrature(ham, z, zp, E, t_max, dt):
 def resolvent_equation_residual(ham, z, zp, E, t_max=0.0, dt=1e-2):
     """|E G(E) - <z| H G(E) |z'> - K(z,z')| / |K(z,z')|.
 
-    The H G term integrates the dGamma element over the same flow points
-    and damped quadrature as G itself, so the residual costs one flow.
+    The H G term integrates the dGamma element, K times its linear factor,
+    over the same flow points, kernel values and damped quadrature as G
+    itself, so the residual costs one flow and one kernel evaluation; t_max
+    as in resolvent_element (0 is automatic, negative raises DomainError).
     """
     return _equation_quadrature(ham, z, zp, E, t_max, dt)[1]
 

@@ -193,6 +193,8 @@ def test_non_finite_values_exit_two(tmp_path, capsys, experiment, params, path):
     # generator this run reported a failed check and wrote inf/nan rows
     ("dynamics", {"z0": [1e300, 1e300], "gen": {"X": [[[1, -0.5]]]}, "t_end": 0.2,
                   "dt": 0.01}, r"autocorr\.csv holds a value that is not finite"),
+    # a negative horizon was read as the automatic one and written to report.json
+    ("resolvent", {"t_max": -5}, r"params: t_max=-5, dt=0\.01: need a horizon >= 0"),
 ])
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_unrunnable_configs_exit_two(tmp_path, capsys, experiment, params, message):

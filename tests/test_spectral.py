@@ -6,6 +6,7 @@ so every op here has a hand-computable target.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -22,11 +23,13 @@ from cohk.fock import (
     osc_act,
     osc_from_block,
 )
+import cohk.fock
 import cohk.spectral
 from cohk.spectral import (
     _DIRECT_ENERGIES,
     _flow_points,
     _resolvent_checks,
+    _trapezoid_weights,
     _uniform_fourier,
     eigencomponent_overlap,
     kt_roundtrip_residual,
@@ -131,6 +134,22 @@ def test_time_average_off_diagonal_needs_swapped_series():
     pref = np.exp(np.conj(Z0[0]) + zp[0])
     a = np.vdot(Z0[1:], zp[1:])
     assert got == pytest.approx(pref * a, abs=5e-2 * abs(pref))
+
+
+@pytest.mark.parametrize("swap", [
+    lambda s: oscillator_series(_number_op(), s.z, s.zp, 50.0, 0.05, hbar=2.0),
+    lambda s: replace(s, t0=0.5),
+], ids=["hbar", "t0"])
+def test_swapped_series_must_share_hbar_and_t0(swap):
+    # a swapped series at another hbar or start time gave a wrong average
+    # and spurious scan lines instead of an error
+    zp = np.array([0.2, 0.5 - 0.3j], dtype=complex)
+    fwd = oscillator_series(_number_op(), Z0, zp, 50.0, 0.05)
+    bad = swap(oscillator_series(_number_op(), zp, Z0, 50.0, 0.05))
+    with pytest.raises(DomainError, match="swapped series must share"):
+        time_average_overlap(fwd, 1.0, 40.0, swapped=bad)
+    with pytest.raises(DomainError, match="swapped series must share"):
+        spectrum_scan(fwd, np.arange(-0.5, 4.5, 0.05), swapped=bad)
 
 
 def test_scan_finds_lines_and_weights(harmonic_series):
@@ -240,6 +259,17 @@ def test_resolvent_needs_upper_half_plane():
         resolvent_element(ham, Z0, Z0, 0.5)
 
 
+@pytest.mark.parametrize("call", [resolvent_element, resolvent_equation_residual,
+                                  resolvent_symmetry_residual])
+def test_negative_t_max_is_rejected_not_automatic(call):
+    # only t_max = 0 asks for the automatic horizon
+    ham = HamiltonianSpec(gen=_number_op())
+    E = 0.5 + 0.1j
+    with pytest.raises(DomainError, match=r"t_max=-5, dt=0\.01: need a horizon >= 0"):
+        call(ham, Z0, Z0, E, t_max=-5.0)
+    assert call(ham, Z0, Z0, E, t_max=0.0) == call(ham, Z0, Z0, E)
+
+
 def test_resolvent_symmetry_off_diagonal():
     ham = HamiltonianSpec(gen=_number_op())
     zp = np.array([0.2 + 0.1j, 0.4 - 0.3j], dtype=complex)
@@ -293,6 +323,22 @@ def test_density_is_nonnegative_and_sums_to_diagonal():
     assert dens.min() >= -1e-6
     total = np.trapezoid(dens, x=grid)
     assert total == pytest.approx(abs(klauder_kernel(Z0, Z0)), abs=1e-2)
+
+
+@pytest.mark.parametrize("zp", [Z0, np.array([0.2 + 0.1j, 0.4 - 0.3j])],
+                         ids=["diagonal", "off-diagonal"])
+@pytest.mark.parametrize("hbar", [1.0, 0.7])
+def test_density_is_the_resolvent_at_e_plus_i_eta(zp, hbar):
+    # the density's chirp-z over the grid against one direct-sum resolvent
+    # element per energy, both at the automatic horizon of Im E = eta
+    gen = OscGenerator(0.1, np.array([0.3 + 0.1j]), np.array([0.3 + 0.1j]),
+                       np.array([[1.2]]))
+    ham = HamiltonianSpec(gen=gen, hbar=hbar)
+    eta, grid = 0.05, np.arange(-1.0, 4.0, 0.01)
+    dens = spectral_density(ham, Z0, zp, grid, eta)
+    for k in (0, 137, 250, 333, len(grid) - 1):
+        g = resolvent_element(ham, Z0, zp, grid[k] + 1j * eta, t_max=0.0)
+        assert abs(dens[k] + g.imag / math.pi) <= 1e-13 * np.abs(dens).max()
 
 
 def test_kt_roundtrip_residuals():
@@ -358,8 +404,9 @@ def test_resolvent_equation_residual():
                          ids=["diagonal", "off-diagonal"])
 @pytest.mark.parametrize("hbar", [1.0, 0.7])
 def test_shared_resolvent_flow_keeps_the_separate_flow_bits(zp, hbar):
-    # the element and the equation residual written out over an
-    # oscillator_series and, for the H G term, a second _flow_points flow
+    # the element and the equation residual written out as trapezoid-weighted
+    # Fourier sums over an oscillator_series and, for the H G term, a second
+    # _flow_points flow
     gen = OscGenerator(0.1, np.array([0.3 + 0.1j]), np.array([0.3 + 0.1j]),
                        np.array([[1.2]]))
     ham = HamiltonianSpec(gen=gen, hbar=hbar)
@@ -369,11 +416,11 @@ def test_shared_resolvent_flow_keeps_the_separate_flow_bits(zp, hbar):
     t_max = hbar * math.log(1e12) / E.imag
     series = oscillator_series(gen, Z0, zp, t_max, dt, hbar)
     iota = 1j / hbar
-    phase = np.exp(iota * E * series.times)
-    g = -iota * np.trapezoid(phase * series.values, dx=series.dt)
+    w = _trapezoid_weights(len(series.values), series.dt)
+    g = -iota * _uniform_fourier(w * series.values, 0.0, series.dt, E, iota)[0]
     pts = _flow_points(gen, zp, len(series.times) - 1, series.dt, hbar)
     hvals = dgamma_element(gen, Z0, pts)
-    og = -iota * np.trapezoid(phase * hvals, dx=series.dt)
+    og = -iota * _uniform_fourier(w * hvals, 0.0, series.dt, E, iota)[0]
     k = klauder_kernel(Z0, zp)
 
     got = resolvent_element(ham, Z0, zp, E)
@@ -603,6 +650,54 @@ def test_scan_refinement_reads_the_scan_grid_then_four_energies(monkeypatch, har
     grid = np.arange(-0.5, 4.5, 0.004)
     lines = spectrum_scan(harmonic_series, grid)
     assert sizes == [len(grid)] + [3, 1] * len(lines)
+
+
+def test_equation_residual_evaluates_the_kernel_on_its_flow_once(monkeypatch):
+    # the H G term is K times the dGamma factor, on the kernel values of G
+    flow_kernels = []
+    for owner in (cohk.spectral, cohk.fock):
+        inner = owner.klauder_kernel
+
+        def counted(z, zp, inner=inner):
+            if np.ndim(zp) == 2:  # a stack of flow points, not one label
+                flow_kernels.append(zp)
+            return inner(z, zp)
+
+        monkeypatch.setattr(owner, "klauder_kernel", counted)
+    ham = HamiltonianSpec(gen=_number_op())
+    assert resolvent_equation_residual(ham, Z0, Z0, 0.5 + 0.1j) <= 1e-4
+    assert len(flow_kernels) == 1
+
+
+_ZP = np.array([0.2 + 0.1j, 0.4 - 0.3j])
+_E = 0.5 + 0.5j
+
+
+@pytest.mark.parametrize("call", [
+    lambda ham: spectrum_scan(oscillator_series(ham.gen, Z0, Z0, 50.0, 0.05),
+                              np.arange(-0.5, 4.5, 0.05)),
+    lambda ham: spectral_density(ham, Z0, _ZP, np.arange(-0.5, 4.5, 0.05), 0.5),
+    lambda ham: resolvent_element(ham, Z0, _ZP, _E),
+    lambda ham: resolvent_equation_residual(ham, Z0, _ZP, _E),
+    lambda ham: resolvent_symmetry_residual(ham, Z0, _ZP, _E),
+    lambda ham: time_average_overlap(oscillator_series(ham.gen, Z0, Z0, 50.0, 0.05),
+                                     1.0, 40.0),
+    lambda ham: eigencomponent_overlap(make_space("klauder"), Z0,
+                                       propagate_ode(make_space("klauder"), ham, Z0, 5.0, 0.05),
+                                       1.0, 5.0),
+    lambda ham: kt_roundtrip_residual(ham, Z0, Z0, 0.7, 0.05, np.arange(-3.0, 10.0, 0.01)),
+], ids=["scan", "density", "element", "equation", "symmetry", "time-average",
+        "eigencomponent", "roundtrip"])
+def test_every_spectral_integral_is_one_fourier_sum(monkeypatch, call):
+    # each time or energy integral reaches _uniform_fourier; none is a
+    # numpy.trapezoid of its own
+    def trapezoid(*args, **kwargs):
+        raise AssertionError("numpy.trapezoid called")
+
+    monkeypatch.setattr(np, "trapezoid", trapezoid)
+    sums = _counting(monkeypatch, cohk.spectral, "_uniform_fourier")
+    call(HamiltonianSpec(gen=_number_op()))
+    assert len(sums) >= 1
 
 
 @pytest.mark.parametrize("zp", [Z0, np.array([0.2 + 0.1j, 0.4 - 0.3j])],
